@@ -60,6 +60,6 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintln(w, "\nNote: the probe kernel is scalar Go; production INT4 kernels are")
 	fmt.Fprintln(w, "an order of magnitude faster. Experiments use the preset models so")
 	fmt.Fprintln(w, "results are machine-independent; pass the fitted platform to")
-	fmt.Fprintln(w, "engine.New (or core.Config.Platform) to simulate this host instead.")
+	fmt.Fprintln(w, "engine.New to simulate this host instead.")
 	return nil
 }

@@ -42,7 +42,6 @@ import (
 	"strings"
 
 	"hybrimoe/internal/cluster"
-	"hybrimoe/internal/core"
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/exp"
 	"hybrimoe/internal/hw"
@@ -112,7 +111,7 @@ func run(args []string) error {
 
 	case "demo":
 		model := fs.String("model", "DeepSeek", "model name (DeepSeek, Mixtral, Qwen2)")
-		ratio := fs.Float64("cache", 0.25, "GPU expert cache ratio")
+		ratio := fs.Float64("cache", 0.25, "GPU expert cache ratio (0 = zero-cache baseline)")
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
@@ -120,22 +119,18 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		sys, err := core.NewSystem(core.Config{
-			Model:       cfg,
-			CacheRatio:  *ratio,
-			Seed:        *seed,
-			RecordTrace: true,
-		})
+		e, err := engine.New(cfg, hw.A6000Platform(), engine.HybriMoEFramework(),
+			engine.WithCacheRatio(*ratio), engine.WithSeed(*seed), engine.WithTraceRecording())
 		if err != nil {
 			return err
 		}
-		res := sys.Decode(*steps)
+		res := e.RunDecode(*steps)
 		fmt.Printf("%s decode, %d steps, %.0f%% cache: mean TBT %.4fs, hit rate %.1f%%\n",
 			cfg.Name, *steps, *ratio*100, res.Mean(), 100*res.Stats.CacheHitRate)
 		fmt.Printf("ops: %d CPU, %d GPU, %d demand transfers, %d prefetches\n",
 			res.Stats.CPUOps, res.Stats.GPUOps, res.Stats.DemandTransfers, res.Stats.PrefetchTransfers)
 		fmt.Println("\nExecution timeline (whole run):")
-		fmt.Print(sys.Gantt(100))
+		fmt.Print(e.Gantt(100))
 		return nil
 
 	case "serve":

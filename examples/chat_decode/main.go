@@ -12,7 +12,7 @@ import (
 	"os"
 
 	"hybrimoe/internal/cache"
-	"hybrimoe/internal/core"
+	"hybrimoe/internal/engine"
 	"hybrimoe/internal/exp"
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
@@ -30,9 +30,13 @@ func main() {
 	tbl := report.NewTable("Decode TBT at 25% cache (40 generated tokens)",
 		"model", "llama.cpp(s)", "AdapMoE(s)", "KTrans(s)", "HybriMoE(s)", "speedup")
 	for _, cfg := range moe.AllModels() {
-		lats, err := core.CompareFrameworks(cfg, platform, ratio, seed, true, steps)
-		if err != nil {
-			log.Fatal(err)
+		lats := make(map[string]float64)
+		for _, fw := range engine.AllFrameworks() {
+			e, err := engine.New(cfg, platform, fw, engine.WithCacheRatio(ratio), engine.WithSeed(seed))
+			if err != nil {
+				log.Fatal(err)
+			}
+			lats[fw.Name] = e.RunDecode(steps).Mean()
 		}
 		tbl.AddRow(cfg.Name,
 			lats["llama.cpp"], lats["AdapMoE"], lats["KTransformers"], lats["HybriMoE"],

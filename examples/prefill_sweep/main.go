@@ -12,7 +12,7 @@ import (
 	"log"
 	"os"
 
-	"hybrimoe/internal/core"
+	"hybrimoe/internal/engine"
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
 	"hybrimoe/internal/report"
@@ -33,9 +33,13 @@ func main() {
 		"cache", "len", "llama.cpp(s)", "AdapMoE(s)", "KTrans(s)", "HybriMoE(s)", "speedup")
 	for _, ratio := range []float64{0.25, 0.50, 0.75} {
 		for _, length := range []int{32, 128, 512, 1024} {
-			lats, err := core.CompareFrameworks(cfg, platform, ratio, 11, false, length)
-			if err != nil {
-				log.Fatal(err)
+			lats := make(map[string]float64)
+			for _, fw := range engine.AllFrameworks() {
+				e, err := engine.New(cfg, platform, fw, engine.WithCacheRatio(ratio), engine.WithSeed(11))
+				if err != nil {
+					log.Fatal(err)
+				}
+				lats[fw.Name] = e.RunPrefill(length).Mean()
 			}
 			tbl.AddRow(fmt.Sprintf("%.0f%%", ratio*100), length,
 				lats["llama.cpp"], lats["AdapMoE"], lats["KTransformers"], lats["HybriMoE"],
@@ -45,18 +49,13 @@ func main() {
 	tbl.Render(os.Stdout)
 
 	// One traced prefill to visualise the hybrid overlap.
-	sys, err := core.NewSystem(core.Config{
-		Model:       cfg,
-		Platform:    platform,
-		CacheRatio:  0.25,
-		Seed:        11,
-		RecordTrace: true,
-	})
+	e, err := engine.New(cfg, platform, engine.HybriMoEFramework(),
+		engine.WithCacheRatio(0.25), engine.WithSeed(11), engine.WithTraceRecording())
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := sys.Prefill(128)
+	res := e.RunPrefill(128)
 	fmt.Printf("\nHybriMoE prefill-128 at 25%% cache: TTFT %.3fs\n", res.Total)
 	fmt.Println("timeline:")
-	fmt.Print(sys.Gantt(100))
+	fmt.Print(e.Gantt(100))
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hybrimoe/internal/cache"
-	"hybrimoe/internal/core"
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
@@ -97,14 +96,11 @@ func TestLatencyDominanceAcrossGrid(t *testing.T) {
 }
 
 // TestServingSessionThroughCore drives the full stack — workload
-// stream, core facade, engine, scheduler, cache — for a small session
-// and checks metric sanity.
+// stream, engine, scheduler, cache — for a small session and checks
+// metric sanity.
 func TestServingSessionThroughCore(t *testing.T) {
-	sys, err := core.NewSystem(core.Config{
-		Model:      moe.DeepSeek(),
-		CacheRatio: 0.25,
-		Seed:       104,
-	})
+	sys, err := engine.New(moe.DeepSeek(), hw.A6000Platform(), engine.HybriMoEFramework(),
+		engine.WithCacheRatio(0.25), engine.WithSeed(104))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +111,12 @@ func TestServingSessionThroughCore(t *testing.T) {
 		if decode > 5 {
 			decode = 5
 		}
-		pre := sys.Prefill(req.PromptTokens)
+		pre := sys.RunPrefill(req.PromptTokens)
 		if pre.Total <= 0 || math.IsNaN(pre.Total) {
 			t.Fatalf("bad TTFT %v for %+v", pre.Total, req)
 		}
 		lastTTFT = pre.Total
-		dec := sys.Decode(decode)
+		dec := sys.RunDecode(decode)
 		if dec.Mean() <= 0 {
 			t.Fatalf("bad TBT for %+v", req)
 		}
@@ -129,7 +125,7 @@ func TestServingSessionThroughCore(t *testing.T) {
 			t.Fatalf("TBT %v should be below TTFT %v", dec.Mean(), lastTTFT)
 		}
 	}
-	if hr := sys.CacheHitRate(); hr <= 0 || hr >= 1 {
+	if hr := sys.Caches().HitRate(); hr <= 0 || hr >= 1 {
 		t.Fatalf("session hit rate %v out of (0,1)", hr)
 	}
 }

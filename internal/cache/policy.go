@@ -188,11 +188,6 @@ func Names() []string {
 	return out
 }
 
-// ByName is a compatibility shim for the pre-registry API.
-//
-// Deprecated: use NewPolicy.
-func ByName(name string, k int) (Policy, error) { return NewPolicy(name, k) }
-
 func init() {
 	Register("LRU", func(int) Policy { return NewLRU() })
 	Register("LFU", func(int) Policy { return NewLFU() })

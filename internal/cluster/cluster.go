@@ -104,8 +104,6 @@ type config struct {
 	seed          uint64
 	maxConcurrent int
 	adm           engine.AdmissionPolicy
-	leaseTTL      float64
-	warmup        float64
 	failures      []Failure
 	scale         []ScaleEvent
 	routeLog      int
@@ -209,33 +207,6 @@ func WithMaxConcurrent(n int) Option {
 func WithAdmission(p engine.AdmissionPolicy) Option {
 	return func(c *config) error {
 		c.adm = p
-		return nil
-	}
-}
-
-// WithLeaseTTL sets the lease timeout (simulated seconds) after which a
-// stalled replica is declared dead (default DefaultLeaseTTL). The
-// actual detection delay per failure is TTL stretched by a jittered
-// factor from the failure RNG stream. d <= 0 errors.
-func WithLeaseTTL(d float64) Option {
-	return func(c *config) error {
-		if d <= 0 {
-			return fmt.Errorf("cluster: WithLeaseTTL(%g) must be positive", d)
-		}
-		c.leaseTTL = d
-		return nil
-	}
-}
-
-// WithWarmup sets the cache re-warm window (simulated seconds) a
-// scale-up replica spends Warming before it serves (default
-// DefaultWarmup). d < 0 errors; 0 means new replicas serve immediately.
-func WithWarmup(d float64) Option {
-	return func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("cluster: WithWarmup(%g) must be non-negative", d)
-		}
-		c.warmup = d
 		return nil
 	}
 }
@@ -348,8 +319,6 @@ type Cluster struct {
 	adm           engine.AdmissionPolicy
 	build         func(i int) (*engine.Engine, error)
 	maxConcurrent int
-	leaseTTL      float64
-	warmup        float64
 	// life schedules lifecycle transitions (failures, detections, scale
 	// events, warm-up promotions) on the same deterministic timeline
 	// arrivals ride.
@@ -411,14 +380,12 @@ type Cluster struct {
 
 // New builds a cluster from functional options. WithBuilder is
 // required; everything else defaults (1 replica, round-robin router,
-// concurrency 1, DefaultLeaseTTL/DefaultWarmup, no failures, no scale
-// plan, no route log). Invalid or conflicting options error.
+// concurrency 1, no failures, no scale plan, no route log). Invalid or
+// conflicting options error.
 func New(opts ...Option) (*Cluster, error) {
 	cfg := config{
 		replicas:      1,
 		maxConcurrent: 1,
-		leaseTTL:      DefaultLeaseTTL,
-		warmup:        DefaultWarmup,
 		workers:       1,
 	}
 	for _, opt := range opts {
@@ -466,7 +433,7 @@ func New(opts ...Option) (*Cluster, error) {
 		router, err = NewRouter(name, RouterConfig{
 			Replicas: cfg.replicas,
 			Seed:     cfg.seed,
-			LeaseTTL: cfg.leaseTTL,
+			LeaseTTL: DefaultLeaseTTL,
 		})
 		if err != nil {
 			return nil, err
@@ -477,8 +444,6 @@ func New(opts ...Option) (*Cluster, error) {
 		adm:           cfg.adm,
 		build:         cfg.build,
 		maxConcurrent: cfg.maxConcurrent,
-		leaseTTL:      cfg.leaseTTL,
-		warmup:        cfg.warmup,
 		promptless:    map[int]bool{},
 		routed:        make([]int, cfg.replicas),
 		routeCap:      cfg.routeLog,
@@ -519,7 +484,7 @@ func New(opts ...Option) (*Cluster, error) {
 		for _, f := range cfg.failures {
 			c.life.Push(f.At, lifeAction{kind: lifeFail, replica: f.Replica, fail: f.Kind})
 			if f.Kind == FailStall {
-				detect := f.At + cfg.leaseTTL*(1+0.25*rng.Float64())
+				detect := f.At + DefaultLeaseTTL*(1+0.25*rng.Float64())
 				c.life.Push(detect, lifeAction{kind: lifeDetect, replica: f.Replica})
 			}
 		}

@@ -205,7 +205,7 @@ func (c *Cluster) scaleUp(n int, at float64) {
 		c.queue = append(c.queue, Event{Replica: i, Kind: EventReplicaWarming, StepEvent: engine.StepEvent{
 			Start: at, End: at,
 		}})
-		c.life.Push(at+c.warmup, lifeAction{kind: lifeServe, replica: i})
+		c.life.Push(at+DefaultWarmup, lifeAction{kind: lifeServe, replica: i})
 	}
 }
 

@@ -21,8 +21,6 @@ func TestOptionValidation(t *testing.T) {
 		{"negative ratio", WithCacheRatio(-0.1), "outside [0, 1]"},
 		{"ratio above one", WithCacheRatio(1.5), "outside [0, 1]"},
 		{"NaN ratio", WithCacheRatio(math.NaN()), "outside [0, 1]"},
-		{"zero context", WithContext(0), "must be positive"},
-		{"negative context", WithContext(-3), "must be positive"},
 		{"negative warmup", WithWarmupIters(-1), "must be non-negative"},
 		{"nil prefetcher", WithPrefetcher(nil), "WithPrefetcher(nil)"},
 		{"unknown request scheduler", WithRequestScheduler("psychic"), "unknown request scheduler"},

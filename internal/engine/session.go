@@ -108,8 +108,8 @@ type StepEvent struct {
 	// Shed/deferral records, which run nothing, leave it 0.
 	Batch int
 	// BatchSize is how many requests advanced together in this event's
-	// iteration: 1 for a solo step, the batch width for a merged one,
-	// 0 on shed/deferral records.
+	// iteration: the batch width, 1 when the request ran alone, 0 on
+	// shed/deferral records.
 	BatchSize int
 	// Done marks the request's final step (or its shed record).
 	Done bool
@@ -217,7 +217,7 @@ type Session struct {
 	steps         int
 	nextSeq       int
 	nextSubmit    int
-	// batches counts merged engine iterations (solo steps included);
+	// batches counts engine iterations, single-request ones included;
 	// StepEvent.Batch carries the ordinal.
 	batches int
 	// events is the unified timeline: scheduled arrivals (stamped at
@@ -739,9 +739,6 @@ func (s *Session) Step() (ev StepEvent, ok bool) {
 	batch := s.batch.Form(s.e.clock, view, idx)
 	s.checkBatch(batch, idx)
 	s.batches++
-	if len(batch) == 1 {
-		return s.stepSolo(idx), true
-	}
 	events := s.runBatch(batch, idx)
 	for _, bev := range events[1:] {
 		s.pushEmit(bev)
@@ -819,77 +816,12 @@ func (s *Session) checkBatch(batch []int, lead int) {
 }
 
 // snapBusy copies the engine's device-frontier vectors into the
-// session's reused scratch, the pre-step snapshot busyDeltas diffs.
+// session's reused scratch, the pre-step snapshot busyDeltas turns into
+// the iteration's advance.
 func (s *Session) snapBusy() (gpu0, link0 []float64) {
 	s.gpuPrev = append(s.gpuPrev[:0], s.e.gpuBusy...)
 	s.linkPrev = append(s.linkPrev[:0], s.e.linkBusy...)
 	return s.gpuPrev, s.linkPrev
-}
-
-// stepSolo runs one engine iteration for a single request — the
-// historical Session loop, which batch policy "none" (and any
-// single-member batch) reproduces event-for-event.
-func (s *Session) stepSolo(idx int) StepEvent {
-	r := s.active[idx]
-
-	ev := StepEvent{Request: r.req.ID, Start: s.e.clock, Deadline: r.req.Deadline,
-		Arrival: r.req.Arrival, Class: r.req.Class, Batch: s.batches, BatchSize: 1}
-	ev.Queued = s.queueWait(r, ev.Start)
-	hits0, misses0 := s.e.cache.Hits(), s.e.cache.Misses()
-	cpu0 := s.e.cpuBusy
-	gpu0, link0 := s.snapBusy()
-
-	if !r.prefilled && r.req.PromptTokens > 0 {
-		ev.Phase = PhasePrefill
-		ev.Tokens = r.req.PromptTokens
-		s.e.scheduler = s.e.prefillSched
-		acts := trace.PrefillStep(s.e.gen, r.req.PromptTokens)
-		ev.Latency = s.e.runStep(acts, r.req.PromptTokens, r.req.PromptTokens, false)
-		r.prefilled = true
-		if s.adm != nil {
-			// Only admission snapshots read the accumulators; skip the
-			// sorted insert (and the retained history) without a policy.
-			// The observation is the queue-inclusive TTFT — arrival to
-			// first token — so admission sees queueing pressure build,
-			// not just the forward's cost.
-			s.ttfts.Add(ev.Queued + ev.Latency)
-		}
-		if s.exportPrefill && r.req.DecodeTokens > 0 {
-			ev.Migrated = true
-			s.export(r, ev.Queued+ev.Latency)
-		}
-	} else {
-		ev.Phase = PhaseDecode
-		ev.Index = r.decoded
-		ev.Tokens = 1
-		s.e.scheduler = s.e.decodeSched
-		acts := trace.DecodeStep(s.e.gen)
-		ev.Latency = s.e.runStep(acts, 1, s.contextFor(r), false)
-		r.decoded++
-		if s.adm != nil {
-			s.tbts.Add(ev.Latency)
-			s.addDecodeOnlyTTFT(r, ev)
-		}
-	}
-
-	ev.End = s.e.clock
-	ev.Hits = s.e.cache.Hits() - hits0
-	ev.Misses = s.e.cache.Misses() - misses0
-	ev.CPUBusy = maxF(0, s.e.cpuBusy-cpu0)
-	ev.GPUBusyByDevice, ev.GPUBusy = s.busyDeltas(s.e.gpuBusy, gpu0)
-	ev.LinkBusyByDevice, ev.LinkBusy = s.busyDeltas(s.e.linkBusy, link0)
-	ev.Done = r.done()
-	s.steps++
-	s.e.stats.CacheHitRate = s.e.cache.HitRate()
-	s.notePrefetchHorizon()
-
-	if ev.Done || r.migrated {
-		s.active = append(s.active[:idx], s.active[idx+1:]...)
-		s.sched.Stepped(idx, []int{idx})
-	} else {
-		s.sched.Stepped(idx, nil)
-	}
-	return ev
 }
 
 // export checkpoints a just-prefilled request and parks it for
@@ -941,8 +873,8 @@ func (s *Session) queueWait(r *sessionRequest, start float64) float64 {
 	return maxF(0, start-r.req.Arrival)
 }
 
-// runBatch executes one merged engine iteration for a multi-request
-// batch and returns one StepEvent per member, in the batch former's
+// runBatch executes one engine iteration for a batch of one or more
+// requests and returns one StepEvent per member, in the batch former's
 // order. The batch runs as a single forward: a pure-decode batch shares
 // one trace.DecodeStep activation pass over the union of experts (one
 // token per request through each), while a batch containing prefill
@@ -1002,8 +934,8 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 	hits := s.e.cache.Hits() - hits0
 	misses := s.e.cache.Misses() - misses0
 	cpu := maxF(0, s.e.cpuBusy-cpu0)
-	gpu, _ := s.busyDeltas(s.e.gpuBusy, gpu0)
-	link, _ := s.busyDeltas(s.e.linkBusy, link0)
+	gpu := busyDeltas(s.e.gpuBusy, gpu0)
+	link := busyDeltas(s.e.linkBusy, link0)
 	end := s.e.clock
 	s.e.stats.CacheHitRate = s.e.cache.HitRate()
 	s.notePrefetchHorizon()
@@ -1029,7 +961,7 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 			// exactly to the iteration totals.
 			Hits:      hits*int64(next)/int64(total) - hits*int64(prev)/int64(total),
 			Misses:    misses*int64(next)/int64(total) - misses*int64(prev)/int64(total),
-			CPUBusy:   cpu*float64(next)/float64(total) - cpu*float64(prev)/float64(total),
+			CPUBusy:   tokenShare(cpu, prev, next, total),
 			BatchSize: len(batch),
 		}
 		// Per-device token-share splits, telescoped the same way; the
@@ -1038,11 +970,11 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 		ev.GPUBusyByDevice = s.arena.take(len(gpu))
 		ev.LinkBusyByDevice = s.arena.take(len(link))
 		for d := range gpu {
-			ev.GPUBusyByDevice[d] = gpu[d]*float64(next)/float64(total) - gpu[d]*float64(prev)/float64(total)
+			ev.GPUBusyByDevice[d] = tokenShare(gpu[d], prev, next, total)
 			ev.GPUBusy += ev.GPUBusyByDevice[d]
 		}
 		for d := range link {
-			ev.LinkBusyByDevice[d] = link[d]*float64(next)/float64(total) - link[d]*float64(prev)/float64(total)
+			ev.LinkBusyByDevice[d] = tokenShare(link[d], prev, next, total)
 			ev.LinkBusy += ev.LinkBusyByDevice[d]
 		}
 		if !r.prefilled && r.req.PromptTokens > 0 {
@@ -1050,7 +982,11 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 			ev.Tokens = r.req.PromptTokens
 			r.prefilled = true
 			if s.adm != nil {
-				// Queue-inclusive TTFT, as in the solo path.
+				// Only admission snapshots read the accumulators; skip the
+				// sorted insert (and the retained history) without a policy.
+				// The observation is the queue-inclusive TTFT — arrival to
+				// first token — so admission sees queueing pressure build,
+				// not just the forward's cost.
 				s.ttfts.Add(ev.Queued + latency)
 			}
 			if s.exportPrefill && r.req.DecodeTokens > 0 {
@@ -1090,23 +1026,29 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 	return events
 }
 
-// busyDeltas reports each device's occupancy-frontier advance since the
-// prev snapshot, plus the summed advance the scalar event fields carry.
-// The slice is carved from the session's arena — it escapes into the
-// emitted event, so it is never reused, only cheaply allocated.
-func (s *Session) busyDeltas(cur, prev []float64) ([]float64, float64) {
-	out := s.arena.take(len(cur))
-	var total float64
-	for d := range cur {
-		out[d] = maxF(0, cur[d]-prev[d])
-		total += out[d]
+// tokenShare is the part of an iteration total x owed to the member
+// holding tokens [prev, next) of total, telescoped so the members' shares
+// sum to x. A sole member gets x itself: x*total/total need not round
+// back to x.
+func tokenShare(x float64, prev, next, total int) float64 {
+	if prev == 0 && next == total {
+		return x
 	}
-	return out, total
+	return x*float64(next)/float64(total) - x*float64(prev)/float64(total)
+}
+
+// busyDeltas overwrites a snapBusy snapshot prev with each device's
+// occupancy-frontier advance since it and returns it.
+func busyDeltas(cur, prev []float64) []float64 {
+	for d := range cur {
+		prev[d] = maxF(0, cur[d]-prev[d])
+	}
+	return prev
 }
 
 // contextFor reports the KV context length for a request's next decode
-// step: the prompt plus tokens generated so far, or the engine's
-// configured default for decode-only bursts (the Run* wrappers).
+// step: the prompt plus tokens generated so far, or decodeContext for
+// prompt-less requests (RunDecode's bursts among them).
 func (s *Session) contextFor(r *sessionRequest) int {
 	if r.adopted && r.req.Checkpoint != nil {
 		// The checkpoint's context is authoritative for adopted
@@ -1115,7 +1057,7 @@ func (s *Session) contextFor(r *sessionRequest) int {
 		return r.req.Checkpoint.Context + r.decoded
 	}
 	if r.req.PromptTokens <= 0 {
-		return s.e.set.context
+		return decodeContext
 	}
 	return r.req.PromptTokens + r.decoded
 }
@@ -1137,32 +1079,28 @@ func (s *Session) Run(handler func(StepEvent)) int {
 }
 
 // RunDecode measures steps decode iterations and returns per-step TBT.
-// It is a compatibility wrapper over a decode-only Session burst at the
-// engine's configured KV context.
+// It is a decode-only Session burst at decodeContext.
 func (e *Engine) RunDecode(steps int) Result {
 	if steps <= 0 {
 		panic(fmt.Sprintf("engine: non-positive decode steps %d", steps))
 	}
-	s := e.NewSession()
-	s.Submit(workload.Request{DecodeTokens: steps})
-	res := Result{Framework: e.fw.Name, Model: e.cfg.Name}
-	s.Run(func(ev StepEvent) {
-		res.StepLatencies = append(res.StepLatencies, ev.Latency)
-		res.Total += ev.Latency
-	})
-	res.Stats = e.stats
-	return res
+	return e.runOne(workload.Request{DecodeTokens: steps})
 }
 
 // RunPrefill measures a single prefill forward over the given prompt
-// length and returns its TTFT as the sole step latency. It is a
-// compatibility wrapper over a prefill-only Session request.
+// length and returns its TTFT as the sole step latency.
 func (e *Engine) RunPrefill(tokens int) Result {
 	if tokens <= 0 {
 		panic(fmt.Sprintf("engine: non-positive prefill tokens %d", tokens))
 	}
+	return e.runOne(workload.Request{PromptTokens: tokens})
+}
+
+// runOne serves req alone on a fresh Session and collects its step
+// latencies.
+func (e *Engine) runOne(req workload.Request) Result {
 	s := e.NewSession()
-	s.Submit(workload.Request{PromptTokens: tokens})
+	s.Submit(req)
 	res := Result{Framework: e.fw.Name, Model: e.cfg.Name}
 	s.Run(func(ev StepEvent) {
 		res.StepLatencies = append(res.StepLatencies, ev.Latency)

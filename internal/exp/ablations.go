@@ -136,14 +136,10 @@ func AblationCPUWarmup(p Params) *report.Table {
 	return t
 }
 
-// PlatformSweep runs the headline decode comparison on the laptop-class
-// platform, checking the result shape holds beyond the paper's testbed.
-func PlatformSweep(p Params) *report.Table {
-	return runTable(platformStudy{}, p)
-}
-
-// platformStudy is PlatformSweep as a runner-iterated grid: one cell
-// per model, each running the kTransformers and HybriMoE decode pair.
+// platformStudy runs the headline decode comparison on the laptop-class
+// platform, checking the result shape holds beyond the paper's testbed:
+// one cell per model, each running the kTransformers and HybriMoE
+// decode pair.
 type platformStudy struct{}
 
 func (platformStudy) ID() string       { return "platform" }

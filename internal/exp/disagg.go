@@ -96,15 +96,10 @@ func disaggConfigs() []cluster.PoolSpec {
 	}
 }
 
-// DisaggStudy sweeps pool split × Poisson arrival rate on a fixed
+// disaggStudy sweeps pool split × Poisson arrival rate on a fixed
 // 3-replica fleet, contrasting mixed colocation against
-// prefill/decode disaggregation with priced working-set migration.
-func DisaggStudy(p Params, requests int, ratio float64) *report.Table {
-	return runTable(disaggStudy{requests: requests, ratio: ratio}, p)
-}
-
-// disaggStudy is DisaggStudy as a runner-iterated grid. The serial
-// prologue calibrates per-replica capacity closed-loop, then sweeps
+// prefill/decode disaggregation with priced working-set migration. The
+// serial prologue calibrates per-replica capacity closed-loop, then sweeps
 // {mixed, 1:2, 2:1} pool splits across two Poisson rates (moderate and
 // saturating multiples of aggregate capacity), every cell serving the
 // same per-rate request stream through the same three replicas under

@@ -164,7 +164,7 @@ func churnScenarios() []churnScenario {
 	}
 }
 
-// FleetChurnStudy sweeps churn scenario × router on a fixed fleet: a
+// fleetChurnStudy sweeps churn scenario × router on a fixed fleet: a
 // steady baseline, a mid-run replica stall (detected by lease expiry,
 // its queue re-routed), and the same stall answered by a cold standby —
 // a scale-up scheduled at the stall time, warming while the lease runs
@@ -179,12 +179,8 @@ func churnScenarios() []churnScenario {
 // re-routed request finishes), and a scale-up replica serves at a
 // visibly lower hit rate until its cache warms — the re-warm cost the
 // lifecycle model charges for elasticity, paid under every router.
-func FleetChurnStudy(p Params, requests, replicas int, ratio float64) *report.Table {
-	return runTable(fleetChurnStudy{requests: requests, replicas: replicas, ratio: ratio}, p)
-}
-
-// fleetChurnStudy is FleetChurnStudy as a runner-iterated grid. The
-// serial prologue calibrates per-replica capacity (closed loop), then a
+//
+// The serial prologue calibrates per-replica capacity (closed loop), then a
 // churn-free span at the swept rate places the stall at 0.3x span, so
 // the scenario stamps track workload scale instead of hard-coding
 // simulated seconds. The standby scale-up fires at the stall itself:

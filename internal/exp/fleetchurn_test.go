@@ -126,7 +126,7 @@ func TestFleetChurnStudyRendersEveryScenario(t *testing.T) {
 		t.Skip("full study render skipped in -short")
 	}
 	p := QuickParams()
-	table := FleetChurnStudy(p, 24, 3, 0.25)
+	table := runTable(fleetChurnStudy{requests: 24, replicas: 3, ratio: 0.25}, p)
 	var sb strings.Builder
 	table.Render(&sb)
 	out := sb.String()

@@ -78,19 +78,14 @@ func drivePlacement(p Params, gpus int, schedName string, ratio float64, reqs []
 // PlacementTopologies are the GPU counts the placement study sweeps.
 var PlacementTopologies = []int{1, 2, 4}
 
-// PlacementStudy sweeps GPU topologies × intra-layer schedulers ×
+// placementStudy sweeps GPU topologies × intra-layer schedulers ×
 // cache ratios on one fixed mixed-corpus stream served by the HybriMoE
 // stack, reporting decode throughput, TBT percentiles, the aggregate
 // expert-cache hit rate and each device's busy fraction. The
 // single-GPU hybrimoe row is the pre-refactor baseline; expert-parallel
 // on the dual/quad presets should beat it on decode throughput — the
 // per-device caches double (quadruple) total residency, and cached
-// experts execute on their owning GPUs in parallel.
-func PlacementStudy(p Params, requests int) *report.Table {
-	return runTable(placementStudy{requests: requests}, p)
-}
-
-// placementStudy is PlacementStudy as a runner-iterated grid: one cell
+// experts execute on their owning GPUs in parallel. There is one cell
 // per topology × scheduler × cache-ratio point, all serving one shared
 // stream.
 type placementStudy struct {

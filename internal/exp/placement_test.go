@@ -45,7 +45,7 @@ func TestPlacementSingleGPUPlannerTopologyInvariant(t *testing.T) {
 }
 
 func TestPlacementStudyRenders(t *testing.T) {
-	tbl := PlacementStudy(QuickParams(), 3)
+	tbl := runTable(placementStudy{requests: 3}, QuickParams())
 	var b strings.Builder
 	tbl.Render(&b)
 	out := b.String()

@@ -4,25 +4,19 @@ import (
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
 	"hybrimoe/internal/quant"
-	"hybrimoe/internal/report"
 	"hybrimoe/internal/stats"
 	"hybrimoe/internal/tensor"
 )
 
-// PrecisionStudy quantifies the mixed-precision offloading trade-off
+// precisionStudy quantifies the mixed-precision offloading trade-off
 // (HOBBIT-style, which the paper cites as related work): per model,
 // the INT4 vs INT8 expert footprint and PCIe transfer time, alongside
 // the *measured* numeric fidelity of the two kernel paths on a real
 // matrix-vector product. Transferring an expert at INT8 costs ~2× the
 // link time but roughly 16× lower reconstruction error — the knob a
-// mixed-precision loader trades per expert importance.
-func PrecisionStudy(p Params) *report.Table {
-	return runTable(precisionStudy{}, p)
-}
-
-// precisionStudy is PrecisionStudy as a runner-iterated grid: the
-// kernel-fidelity probe runs serially in Cells, then one cell per
-// model computes its footprint/transfer row.
+// mixed-precision loader trades per expert importance. The
+// kernel-fidelity probe runs serially in Cells, then one cell per model
+// computes its footprint/transfer row.
 type precisionStudy struct{}
 
 func (precisionStudy) ID() string       { return "precision" }

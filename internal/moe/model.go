@@ -162,23 +162,6 @@ func (m *TinyModel) runExpert(l, e int, x []float32) []float32 {
 	return out
 }
 
-// Forward runs the token through every layer and returns the final
-// hidden state plus the per-layer routing decisions.
-func (m *TinyModel) Forward(x []float32) ([]float32, []Routing) {
-	if len(x) != m.Cfg.Hidden {
-		panic(fmt.Sprintf("moe: input width %d != hidden %d", len(x), m.Cfg.Hidden))
-	}
-	h := make([]float32, len(x))
-	copy(h, x)
-	routings := make([]Routing, 0, m.Cfg.Layers)
-	for l := 0; l < m.Cfg.Layers; l++ {
-		var r Routing
-		h, r = m.ForwardLayer(l, h)
-		routings = append(routings, r)
-	}
-	return h, routings
-}
-
 // TinyConfig returns a scaled-down configuration preserving cfg's
 // expert-count structure (routed/activated/shared) with small dims, for
 // functional tests and the tiny_moe example.

@@ -123,31 +123,6 @@ func TestForwardLayerResidualAndFinite(t *testing.T) {
 	}
 }
 
-func TestForwardRunsAllLayers(t *testing.T) {
-	m := tinyDeepSeek(t)
-	rng := stats.NewRNG(13)
-	x := randomHidden(rng, m.Cfg.Hidden)
-	_, routings := m.Forward(x)
-	if len(routings) != m.Cfg.Layers {
-		t.Fatalf("routings = %d, want %d", len(routings), m.Cfg.Layers)
-	}
-	for l, r := range routings {
-		if r.Layer != l {
-			t.Fatalf("routing %d labelled layer %d", l, r.Layer)
-		}
-	}
-}
-
-func TestForwardPanicsOnBadWidth(t *testing.T) {
-	m := tinyDeepSeek(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong input width should panic")
-		}
-	}()
-	m.Forward(make([]float32, 3))
-}
-
 func TestForwardLayerPanicsOutOfRange(t *testing.T) {
 	m := tinyDeepSeek(t)
 	defer func() {

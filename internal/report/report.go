@@ -182,15 +182,6 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// RenderCSV writes the table as CSV (no quoting; cells are numeric or
-// simple identifiers by construction).
-func (t *Table) RenderCSV(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(t.header, ","))
-	for _, row := range t.rows {
-		fmt.Fprintln(w, strings.Join(row, ","))
-	}
-}
-
 func pad(s string, w int) string {
 	if len(s) >= w {
 		return s

@@ -66,17 +66,6 @@ func TestTablePanics(t *testing.T) {
 	}()
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("t", "a", "b")
-	tb.AddRow(1.0, 2.0)
-	var sb strings.Builder
-	tb.RenderCSV(&sb)
-	want := "a,b\n1.000,2.000\n"
-	if sb.String() != want {
-		t.Fatalf("CSV = %q, want %q", sb.String(), want)
-	}
-}
-
 func TestFloatFormatting(t *testing.T) {
 	cases := map[float64]string{
 		0:      "0",

@@ -6,9 +6,23 @@ import (
 	"testing"
 )
 
+// drain pops q in stamp order, advancing *now to each stamp before
+// running its callback: the event loop the Session and the cluster run
+// on a Queue.
+func drain(q *Queue[func()], now *float64) {
+	for {
+		at, fn, ok := q.PopMin()
+		if !ok {
+			return
+		}
+		*now = at
+		fn()
+	}
+}
+
 // TestTwoSessionsInterleaveDeterministically drives two independent
 // serving sessions — each a self-rescheduling worker with its own
-// resource timeline — on one shared event clock, and pins the invariant
+// resource timeline — on one shared event queue, and pins the invariant
 // the cluster's lockstep fleet advance relies on: the interleaving of
 // their events is a pure function of the timestamps, reproducible run
 // to run, globally time-ordered, and FIFO among equal stamps.
@@ -18,7 +32,8 @@ func TestTwoSessionsInterleaveDeterministically(t *testing.T) {
 		At     float64
 	}
 	run := func() []fired {
-		eng := NewEngine()
+		var q Queue[func()]
+		var now float64
 		var order []fired
 		tls := []*Timeline{NewTimeline("s0"), NewTimeline("s1")}
 		// Deterministic unequal step costs: the two sessions drift apart
@@ -26,16 +41,16 @@ func TestTwoSessionsInterleaveDeterministically(t *testing.T) {
 		durs := []float64{0.3, 0.45}
 		var step func(w, n int)
 		step = func(w, n int) {
-			order = append(order, fired{w, eng.Now()})
+			order = append(order, fired{w, now})
 			if n == 0 {
 				return
 			}
-			_, end := tls[w].Reserve(eng.Now(), durs[w], fmt.Sprintf("s%d-step", w))
-			eng.Schedule(end, func() { step(w, n-1) })
+			_, end := tls[w].Reserve(now, durs[w], fmt.Sprintf("s%d-step", w))
+			q.Push(end, func() { step(w, n-1) })
 		}
-		eng.Schedule(0, func() { step(0, 6) })
-		eng.Schedule(0, func() { step(1, 4) })
-		eng.Run()
+		q.Push(0, func() { step(0, 6) })
+		q.Push(0, func() { step(1, 4) })
+		drain(&q, &now)
 		return order
 	}
 
@@ -78,24 +93,25 @@ func TestLockstepAdvanceMatchesEventQueue(t *testing.T) {
 	durs := []float64{0.3, 0.7} // first shared multiple (2.1) is past both horizons
 	steps := []int{7, 3}
 
-	// Shared-queue reference: one engine, two self-rescheduling workers.
+	// Shared-queue reference: one queue, two self-rescheduling workers.
 	type fired struct {
 		Worker int
 		At     float64
 	}
 	var want []fired
 	{
-		eng := NewEngine()
+		var q Queue[func()]
+		var now float64
 		var step func(w, n int)
 		step = func(w, n int) {
-			want = append(want, fired{w, eng.Now()})
+			want = append(want, fired{w, now})
 			if n > 1 {
-				eng.ScheduleAfter(durs[w], func() { step(w, n-1) })
+				q.Push(now+durs[w], func() { step(w, n-1) })
 			}
 		}
-		eng.Schedule(0, func() { step(0, steps[0]) })
-		eng.Schedule(0, func() { step(1, steps[1]) })
-		eng.Run()
+		q.Push(0, func() { step(0, steps[0]) })
+		q.Push(0, func() { step(1, steps[1]) })
+		drain(&q, &now)
 	}
 
 	// Lockstep loop: each session is an isolated clock; the driver picks

@@ -1,3 +1,10 @@
+// Package sim provides the discrete-event simulation core the hardware
+// substrate runs on: a deterministic timestamped event queue, resource
+// timelines that serialise work on a device, and span traces that record
+// what ran where (the simulated equivalent of a CUDA-stream timeline).
+//
+// Time is modelled in float64 seconds. Determinism matters more than
+// wall-clock fidelity: events at equal timestamps fire in push order.
 package sim
 
 // entry is one queued item: a payload keyed by (At, seq).
@@ -10,16 +17,16 @@ type entry[T any] struct {
 // Queue is the deterministic timestamped min-queue the simulation core
 // is built on: a binary min-heap keyed by (stamp, push order), so items
 // pop in ascending stamp order with FIFO tie-break among equal stamps.
-// It is the one event-queue implementation the engine's run loop, the
-// cluster's dispatch queue and sim.Engine all share.
+// It is the one event-queue implementation the engine's run loop and the
+// cluster's dispatch queue share.
 //
 // Contract:
 //
 //   - Push(at, v) enqueues v at stamp `at`. Any stamp is accepted —
 //     causality (refusing to schedule in the past) is the caller's
-//     policy, not the queue's; sim.Engine enforces it, the Session's
-//     arrival queue deliberately does not (late submissions of
-//     already-arrived requests are legal).
+//     policy, not the queue's; the Session's arrival queue relies on
+//     past stamps being accepted (late submissions of already-arrived
+//     requests are legal).
 //   - PopMin returns the queued item with the minimal (stamp, push
 //     order) key. Two items at the same stamp pop in Push order, so a
 //     run's event order is a pure function of its inputs.

@@ -70,38 +70,3 @@ func (s *Sample) Mean() float64 {
 	}
 	return sum / float64(len(s.xs))
 }
-
-// Values returns a copy of the recorded observations in insertion order
-// when unsorted, or sorted order after a quantile query.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
-
-// Summary holds the standard five-number summary plus mean, handy for
-// experiment tables.
-type Summary struct {
-	N                          int
-	Min, P25, Median, P75, Max float64
-	Mean                       float64
-}
-
-// Summarize computes a Summary of the sample. It panics on empty input.
-func (s *Sample) Summarize() Summary {
-	return Summary{
-		N:      len(s.xs),
-		Min:    s.Quantile(0),
-		P25:    s.Quantile(0.25),
-		Median: s.Quantile(0.5),
-		P75:    s.Quantile(0.75),
-		Max:    s.Quantile(1),
-		Mean:   s.Mean(),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.4g p25=%.4g med=%.4g p75=%.4g max=%.4g mean=%.4g",
-		s.N, s.Min, s.P25, s.Median, s.P75, s.Max, s.Mean)
-}

@@ -75,21 +75,6 @@ func TestSampleAddAfterQuery(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	var s Sample
-	s.AddN([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	sum := s.Summarize()
-	if sum.N != 9 || sum.Min != 1 || sum.Median != 5 || sum.Max != 9 {
-		t.Fatalf("summary wrong: %v", sum)
-	}
-	if sum.Mean != 5 {
-		t.Errorf("mean = %v, want 5", sum.Mean)
-	}
-	if len(sum.String()) == 0 {
-		t.Error("summary string should be non-empty")
-	}
-}
-
 // Property: quantile is monotone in q and bounded by [min, max].
 func TestQuantileMonotoneQuick(t *testing.T) {
 	f := func(raw []int16, qa, qb uint8) bool {
@@ -110,15 +95,5 @@ func TestQuantileMonotoneQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSampleValuesCopy(t *testing.T) {
-	var s Sample
-	s.AddN([]float64{3, 1, 2})
-	vs := s.Values()
-	vs[0] = 999
-	if s.Values()[0] == 999 {
-		t.Fatal("Values must return a copy")
 	}
 }

@@ -37,13 +37,6 @@ func (r *RNG) Reseed(seed uint64) {
 	r.gauss, r.hasGauss = 0, false
 }
 
-// Split derives an independent child generator; streams from parent and
-// child do not overlap in practice. Used to give each layer/iteration its
-// own stream without coupling draw order across components.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa0761d6478bd642f)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
@@ -108,13 +101,6 @@ func (r *RNG) Exp(rate float64) float64 {
 	return -math.Log(u) / rate
 }
 
-// Zipf returns a sample in [0, n) from a Zipf-like distribution with
-// exponent s > 0. For repeated sampling at the same (n, s) prefer
-// NewZipf, which precomputes the inverse-CDF table once.
-func (r *RNG) Zipf(n int, s float64) int {
-	return NewZipf(n, s).Sample(r)
-}
-
 // Zipf samples from a fixed Zipf-like distribution over [0, n) with
 // exponent s via binary search on a precomputed CDF. It is used by the
 // neuron-sparsity reference process (highly skewed activations).
@@ -153,25 +139,4 @@ func (z *Zipf) Sample(r *RNG) int {
 		}
 	}
 	return lo
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes xs in place.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -1,6 +1,7 @@
 // Package stats provides small statistical utilities used throughout the
-// HybriMoE reproduction: online moment accumulators, exponential moving
-// averages, histograms, empirical CDFs, quantiles and least-squares fits.
+// HybriMoE reproduction: online moment accumulators, frequency CDFs,
+// exact quantiles, correlation and least-squares fits, and a seeded
+// generator.
 //
 // The package is dependency-free and deterministic; every consumer that
 // needs randomness supplies its own seeded source.
@@ -71,67 +72,8 @@ func (r *Running) Variance() float64 {
 // StdDev reports the sample standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 
-// Sum reports mean*n, the total of all observations.
-func (r *Running) Sum() float64 { return r.mean * float64(r.n) }
-
 // String renders a compact human-readable summary.
 func (r *Running) String() string {
 	return fmt.Sprintf("n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g",
 		r.n, r.Mean(), r.StdDev(), r.min, r.max)
 }
-
-// Merge combines another accumulator into r (parallel Welford merge).
-func (r *Running) Merge(o *Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *o
-		return
-	}
-	n := r.n + o.n
-	delta := o.mean - r.mean
-	mean := r.mean + delta*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + delta*delta*float64(r.n)*float64(o.n)/float64(n)
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.n, r.mean, r.m2 = n, mean, m2
-}
-
-// EMA is an exponential moving average with smoothing factor alpha in
-// (0, 1]. Larger alpha weights recent observations more heavily. The zero
-// value is invalid; construct with NewEMA.
-type EMA struct {
-	alpha  float64
-	value  float64
-	primed bool
-}
-
-// NewEMA returns an EMA with the given smoothing factor. It panics if
-// alpha is outside (0, 1].
-func NewEMA(alpha float64) *EMA {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("stats: EMA alpha %v out of (0,1]", alpha))
-	}
-	return &EMA{alpha: alpha}
-}
-
-// Add folds one observation into the average. The first observation
-// initialises the average exactly.
-func (e *EMA) Add(x float64) {
-	if !e.primed {
-		e.value, e.primed = x, true
-		return
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-}
-
-// Value reports the current average, or 0 before any observation.
-func (e *EMA) Value() float64 { return e.value }
-
-// Primed reports whether at least one observation has been added.
-func (e *EMA) Primed() bool { return e.primed }

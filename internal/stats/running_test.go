@@ -44,49 +44,6 @@ func TestRunningKnownValues(t *testing.T) {
 	if r.Min() != 2 || r.Max() != 9 {
 		t.Errorf("min/max = %v/%v, want 2/9", r.Min(), r.Max())
 	}
-	if got := r.Sum(); !almostEq(got, 40, 1e-12) {
-		t.Errorf("sum = %v, want 40", got)
-	}
-}
-
-func TestRunningMergeMatchesSequential(t *testing.T) {
-	rng := NewRNG(7)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = rng.NormMeanStd(3, 11)
-	}
-	var whole Running
-	whole.AddN(xs)
-	var a, b Running
-	a.AddN(xs[:123])
-	b.AddN(xs[123:])
-	a.Merge(&b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged n=%d, want %d", a.N(), whole.N())
-	}
-	if !almostEq(a.Mean(), whole.Mean(), 1e-10) {
-		t.Errorf("merged mean %v vs %v", a.Mean(), whole.Mean())
-	}
-	if !almostEq(a.Variance(), whole.Variance(), 1e-10) {
-		t.Errorf("merged variance %v vs %v", a.Variance(), whole.Variance())
-	}
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Errorf("merged min/max %v/%v vs %v/%v", a.Min(), a.Max(), whole.Min(), whole.Max())
-	}
-}
-
-func TestRunningMergeIntoEmpty(t *testing.T) {
-	var a, b Running
-	b.AddN([]float64{1, 2, 3})
-	a.Merge(&b)
-	if a.N() != 3 || a.Mean() != 2 {
-		t.Fatalf("merge into empty: %v", a.String())
-	}
-	var c Running
-	a.Merge(&c) // merging empty is a no-op
-	if a.N() != 3 {
-		t.Fatalf("merge of empty changed state: %v", a.String())
-	}
 }
 
 // Property: variance is never negative and mean stays within [min, max].
@@ -111,47 +68,5 @@ func TestRunningInvariantsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEMA(t *testing.T) {
-	e := NewEMA(0.5)
-	if e.Primed() {
-		t.Fatal("fresh EMA should not be primed")
-	}
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Fatalf("first observation should initialise exactly, got %v", e.Value())
-	}
-	e.Add(20)
-	if e.Value() != 15 {
-		t.Fatalf("EMA(0.5) after 10,20 = %v, want 15", e.Value())
-	}
-	e.Add(15)
-	if e.Value() != 15 {
-		t.Fatalf("EMA stable point moved: %v", e.Value())
-	}
-}
-
-func TestEMAPanicsOnBadAlpha(t *testing.T) {
-	for _, alpha := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewEMA(%v) should panic", alpha)
-				}
-			}()
-			NewEMA(alpha)
-		}()
-	}
-}
-
-func TestEMAConvergesToConstant(t *testing.T) {
-	e := NewEMA(0.2)
-	for i := 0; i < 200; i++ {
-		e.Add(7)
-	}
-	if !almostEq(e.Value(), 7, 1e-12) {
-		t.Fatalf("EMA of constant stream = %v, want 7", e.Value())
 	}
 }

@@ -1,5 +1,5 @@
 // Package tensor implements the minimal dense linear-algebra kernels the
-// functional MoE path needs: float32 matrices, GEMV/GEMM, softmax, top-k
+// functional MoE path needs: float32 matrices, GEMV, softmax, top-k
 // selection, RMSNorm and SiLU. Weights are float32 (the quantized INT4
 // path lives in internal/quant); accumulation is float64 for stability.
 //
@@ -91,42 +91,6 @@ func MatVec(dst []float32, m *Matrix, x []float32) {
 	}
 }
 
-// MatMul computes C = A · B and returns C. It panics on shape mismatch.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d · %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := 0; j < b.Cols; j++ {
-				crow[j] += av * brow[j]
-			}
-		}
-	}
-	return c
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var acc float64
-	for i := range a {
-		acc += float64(a[i]) * float64(b[i])
-	}
-	return acc
-}
-
 // Axpy computes dst += alpha * x elementwise.
 func Axpy(dst []float32, alpha float32, x []float32) {
 	if len(dst) != len(x) {
@@ -134,13 +98,6 @@ func Axpy(dst []float32, alpha float32, x []float32) {
 	}
 	for i := range dst {
 		dst[i] += alpha * x[i]
-	}
-}
-
-// Scale multiplies every element of x by alpha in place.
-func Scale(x []float32, alpha float32) {
-	for i := range x {
-		x[i] *= alpha
 	}
 }
 

@@ -201,17 +201,22 @@ func TestReadTraceSkipsBlanksAndComments(t *testing.T) {
 }
 
 func TestReadTraceRejectsMalformedRecords(t *testing.T) {
-	cases := map[string]string{
-		"bad json":         "{not json}\n",
-		"zero work":        `{"id":0}` + "\n",
-		"negative tokens":  `{"id":0,"prompt_tokens":-4,"decode_tokens":1}` + "\n",
-		"negative arrival": `{"id":0,"prompt_tokens":4,"decode_tokens":1,"arrival":-2}` + "\n",
+	cases := map[string]struct {
+		in   string
+		want string // substring naming the offending line (and ID)
+	}{
+		"bad json":         {"{not json}\n", "line 1"},
+		"zero work":        {`{"id":0}` + "\n", "line 1"},
+		"negative tokens":  {`{"id":0,"prompt_tokens":-4,"decode_tokens":1}` + "\n", "line 1"},
+		"negative arrival": {`{"id":0,"prompt_tokens":4,"decode_tokens":1,"arrival":-2}` + "\n", "line 1"},
+		"duplicate id": {`{"id":7,"prompt_tokens":4,"decode_tokens":1}` + "\n" +
+			`{"id":7,"prompt_tokens":9,"decode_tokens":2}` + "\n", "line 2: duplicate request ID 7"},
 	}
-	for name, in := range cases {
-		if _, err := ReadTrace(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: ReadTrace accepted %q", name, in)
-		} else if !strings.Contains(err.Error(), "line 1") {
-			t.Errorf("%s: error %v should carry the line number", name, err)
+	for name, tc := range cases {
+		if _, err := ReadTrace(strings.NewReader(tc.in)); err == nil {
+			t.Errorf("%s: ReadTrace accepted %q", name, tc.in)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v should contain %q", name, err, tc.want)
 		}
 	}
 }

@@ -60,9 +60,12 @@ func WriteTrace(w io.Writer, reqs []Request) error {
 // #-comment lines are skipped. Malformed JSON and requests with no work
 // at all (neither prompt nor decode tokens) are reported with their
 // line number — a zero-work record is always a recording bug, and the
-// Session would drop it silently otherwise.
+// Session would drop it silently otherwise. So is a request ID seen on an
+// earlier line: the fleet layers key per-request state by ID and would
+// merge the two requests.
 func ReadTrace(r io.Reader) ([]Request, error) {
 	var reqs []Request
+	seen := map[int]int{} // request ID → line it first appeared on
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	line := 0
@@ -92,6 +95,11 @@ func ReadTrace(r io.Reader) ([]Request, error) {
 				return nil, fmt.Errorf("trace line %d: %w", line, err)
 			}
 		}
+		if first, dup := seen[rec.ID]; dup {
+			return nil, fmt.Errorf("workload: trace line %d: duplicate request ID %d (first on line %d)",
+				line, rec.ID, first)
+		}
+		seen[rec.ID] = line
 		reqs = append(reqs, Request{
 			ID:           rec.ID,
 			Dataset:      rec.Dataset,
