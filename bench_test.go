@@ -256,12 +256,71 @@ func BenchmarkMRSObserveScores(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheInsertEvict times one layer of the serving cache path at
+// the production shape: DeepSeek, a one-device cache.Multi at 25%
+// capacity under MRS, warm and full. Each op looks up one layer's
+// activated experts, inserts the misses with those experts protected
+// (so every insert evicts through the protected scan), and feeds the
+// layer's scores to MRS. The routing is pre-generated, so the trace
+// generator stays out of the timing.
 func BenchmarkCacheInsertEvict(b *testing.B) {
-	c := cache.New(256, cache.NewLRU())
+	cfg := moe.DeepSeek()
+	policy, err := cache.NewPolicy("MRS", cfg.ActivatedExperts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := cache.NewMulti(cache.New(cfg.CacheCapacity(0.25), policy))
+	var all []moe.ExpertID
+	for l := 0; l < cfg.Layers; l++ {
+		for x := 0; x < cfg.RoutedExperts; x++ {
+			all = append(all, moe.ExpertID{Layer: l, Index: x})
+		}
+	}
+	c.Warm(all)
+	type layerRouting struct {
+		layer     int
+		activated []int
+		scores    []float64
+	}
+	g := trace.New(cfg, trace.DefaultOptions(benchTraceSeed))
+	var routing []layerRouting
+	for i := 0; i < 16; i++ {
+		g.Advance()
+		for l := 0; l < cfg.Layers; l++ {
+			routing = append(routing, layerRouting{l, g.Activated(l), g.Scores(l)})
+		}
+	}
+	layer, active := 0, make([]bool, cfg.RoutedExperts)
+	protected := func(id moe.ExpertID) bool { return id.Layer == layer && active[id.Index] }
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Insert(moe.ExpertID{Layer: i % 26, Index: i % 64}, nil)
-		c.Insert(moe.ExpertID{Layer: (i + 13) % 26, Index: (i + 31) % 64}, nil)
+		r := routing[i%len(routing)]
+		layer = r.layer
+		clear(active)
+		for _, x := range r.activated {
+			active[x] = true
+		}
+		for _, x := range r.activated {
+			id := moe.ExpertID{Layer: r.layer, Index: x}
+			if !c.Lookup(id, 0) {
+				c.Insert(id, 0, protected)
+			}
+		}
+		c.ObserveScores(r.layer, r.scores)
+	}
+}
+
+// BenchmarkPrefillLoads times routing a 512-token DeepSeek prompt
+// through one layer: per token, one noise draw per expert and a top-k.
+func BenchmarkPrefillLoads(b *testing.B) {
+	cfg := moe.DeepSeek()
+	g := trace.New(cfg, trace.DefaultOptions(benchTraceSeed))
+	g.Advance()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.PrefillLoads(i%cfg.Layers, 512)
 	}
 }
 

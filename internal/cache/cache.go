@@ -15,8 +15,17 @@ import (
 type Cache struct {
 	capacity int
 	policy   Policy
-	resident map[moe.ExpertID]bool
-	pinned   map[moe.ExpertID]bool
+	// resident lists the resident experts in no particular order;
+	// slot[l][e] is 1 + expert (l, e)'s position in it, or 0 when the
+	// expert is absent. Removal swaps the last entry into the hole.
+	resident []moe.ExpertID
+	slot     [][]int32
+	// pinned[l][e] marks a pinned expert; npinned counts them, so the
+	// victim scan of a cache without pins skips the lookup.
+	pinned  [][]bool
+	npinned int
+	// candidates is pickVictim's reused scratch.
+	candidates []moe.ExpertID
 
 	hits   int64
 	misses int64
@@ -32,12 +41,7 @@ func New(capacity int, policy Policy) *Cache {
 	if policy == nil {
 		panic("cache: nil policy")
 	}
-	return &Cache{
-		capacity: capacity,
-		policy:   policy,
-		resident: make(map[moe.ExpertID]bool),
-		pinned:   make(map[moe.ExpertID]bool),
-	}
+	return &Cache{capacity: capacity, policy: policy}
 }
 
 // Capacity reports the maximum resident expert count.
@@ -50,13 +54,30 @@ func (c *Cache) Len() int { return len(c.resident) }
 func (c *Cache) Policy() Policy { return c.policy }
 
 // Contains reports residency without touching hit/miss accounting.
-func (c *Cache) Contains(id moe.ExpertID) bool { return c.resident[id] }
+func (c *Cache) Contains(id moe.ExpertID) bool { return at(c.slot, id) != 0 }
+
+// add appends id to the resident list. The caller checked it is absent.
+func (c *Cache) add(id moe.ExpertID) {
+	c.resident = append(c.resident, id)
+	*cell(&c.slot, id) = int32(len(c.resident))
+}
+
+// remove swap-removes a resident id from the resident list.
+func (c *Cache) remove(id moe.ExpertID) {
+	i := c.slot[id.Layer][id.Index] - 1
+	last := c.resident[len(c.resident)-1]
+	c.resident[i] = last
+	c.slot[last.Layer][last.Index] = i + 1
+	c.resident = c.resident[:len(c.resident)-1]
+	c.slot[id.Layer][id.Index] = 0
+}
 
 // Lookup reports residency and updates hit/miss statistics and the
 // policy's recency state. Use it on the serving path; use Contains for
 // planning lookups that must not skew statistics.
 func (c *Cache) Lookup(id moe.ExpertID) bool {
-	if c.resident[id] {
+	checkID(id)
+	if c.Contains(id) {
 		c.hits++
 		c.policy.Touch(id)
 		return true
@@ -71,7 +92,8 @@ func (c *Cache) Lookup(id moe.ExpertID) bool {
 // and reports whether the insert succeeded; inserting fails only when
 // every resident expert is pinned or protected.
 func (c *Cache) Insert(id moe.ExpertID, protected func(moe.ExpertID) bool) (evicted []moe.ExpertID, ok bool) {
-	if c.resident[id] {
+	checkID(id)
+	if c.Contains(id) {
 		return nil, true
 	}
 	for len(c.resident) >= c.capacity {
@@ -79,45 +101,50 @@ func (c *Cache) Insert(id moe.ExpertID, protected func(moe.ExpertID) bool) (evic
 		if !found {
 			return evicted, false
 		}
-		delete(c.resident, victim)
+		c.remove(victim)
 		c.policy.Forget(victim)
 		evicted = append(evicted, victim)
 	}
-	c.resident[id] = true
+	c.add(id)
 	c.policy.Admit(id)
 	return evicted, true
 }
 
 func (c *Cache) pickVictim(protected func(moe.ExpertID) bool) (moe.ExpertID, bool) {
-	candidates := make([]moe.ExpertID, 0, len(c.resident))
-	for id := range c.resident {
-		if c.pinned[id] || (protected != nil && protected(id)) {
+	candidates := c.candidates[:0]
+	for _, id := range c.resident {
+		if (c.npinned > 0 && at(c.pinned, id)) || (protected != nil && protected(id)) {
 			continue
 		}
 		candidates = append(candidates, id)
 	}
+	c.candidates = candidates
 	if len(candidates) == 0 {
 		return moe.ExpertID{}, false
 	}
-	// Policies tie-break on expert ID, so the (random) map iteration
-	// order above never influences the chosen victim.
+	// Policies tie-break on expert ID, so the resident list's
+	// swap-remove order never influences the chosen victim.
 	return c.policy.Victim(candidates), true
 }
 
 // Pin marks id as permanently resident, inserting it if absent. It
 // fails (returns false) when the cache is full of other pinned experts.
 func (c *Cache) Pin(id moe.ExpertID) bool {
-	if !c.resident[id] {
+	checkID(id)
+	if !c.Contains(id) {
 		if _, ok := c.Insert(id, nil); !ok {
 			return false
 		}
 	}
-	c.pinned[id] = true
+	if p := cell(&c.pinned, id); !*p {
+		*p = true
+		c.npinned++
+	}
 	return true
 }
 
 // Pinned reports whether id is pinned.
-func (c *Cache) Pinned(id moe.ExpertID) bool { return c.pinned[id] }
+func (c *Cache) Pinned(id moe.ExpertID) bool { return at(c.pinned, id) }
 
 // ObserveScores forwards one iteration's routing scores for a layer to
 // the policy (MRS uses them; LRU/LFU ignore them).
@@ -151,29 +178,20 @@ func (c *Cache) HitRate() float64 {
 // experiments can exclude warm-up from measurements.
 func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
 
-// Resident returns the resident expert set as a slice (order
-// unspecified).
-func (c *Cache) Resident() []moe.ExpertID {
-	out := make([]moe.ExpertID, 0, len(c.resident))
-	for id := range c.resident {
-		out = append(out, id)
-	}
-	return out
-}
-
 // Warm fills the cache with ids (stopping at capacity) without counting
 // statistics, for experiment warm starts. It reports how many were
 // admitted.
 func (c *Cache) Warm(ids []moe.ExpertID) int {
 	n := 0
 	for _, id := range ids {
+		checkID(id)
 		if len(c.resident) >= c.capacity {
 			break
 		}
-		if c.resident[id] {
+		if c.Contains(id) {
 			continue
 		}
-		c.resident[id] = true
+		c.add(id)
 		c.policy.Admit(id)
 		n++
 	}

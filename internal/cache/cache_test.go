@@ -181,23 +181,6 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
-func TestResidentSnapshot(t *testing.T) {
-	c := New(4, NewLRU())
-	c.Insert(id(0, 1), nil)
-	c.Insert(id(1, 2), nil)
-	rs := c.Resident()
-	if len(rs) != 2 {
-		t.Fatalf("resident = %v", rs)
-	}
-	seen := map[moe.ExpertID]bool{}
-	for _, r := range rs {
-		seen[r] = true
-	}
-	if !seen[id(0, 1)] || !seen[id(1, 2)] {
-		t.Fatalf("resident snapshot wrong: %v", rs)
-	}
-}
-
 // Property: the cache never exceeds capacity and never evicts pinned
 // experts, under arbitrary operation sequences and all three policies.
 func TestCacheInvariantsQuick(t *testing.T) {

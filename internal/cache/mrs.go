@@ -2,9 +2,9 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 
 	"hybrimoe/internal/moe"
+	"hybrimoe/internal/tensor"
 )
 
 // DefaultAlpha is the averaging coefficient of Eq. (3). Recent scores
@@ -24,7 +24,12 @@ const DefaultAlpha = 0.4
 type MRS struct {
 	alpha float64
 	topP  int
-	prio  map[moe.ExpertID]float64
+	// prio[l][e] is expert (l, e)'s estimated priority S, 0 before any
+	// score reaches it.
+	prio [][]float64
+	// idx and inTop are ObserveScores' reused ranking scratch.
+	idx   []int
+	inTop []bool
 }
 
 // NewMRS returns an MRS policy with averaging coefficient alpha and the
@@ -37,7 +42,7 @@ func NewMRS(alpha float64, topP int) *MRS {
 	if topP <= 0 {
 		panic(fmt.Sprintf("cache: MRS topP %d must be positive", topP))
 	}
-	return &MRS{alpha: alpha, topP: topP, prio: make(map[moe.ExpertID]float64)}
+	return &MRS{alpha: alpha, topP: topP}
 }
 
 // Name implements Policy.
@@ -48,12 +53,8 @@ func (p *MRS) Name() string { return "MRS" }
 func (p *MRS) Touch(id moe.ExpertID) {}
 
 // Admit implements Policy. An expert entering the cache keeps whatever
-// score history it has accumulated.
-func (p *MRS) Admit(id moe.ExpertID) {
-	if _, ok := p.prio[id]; !ok {
-		p.prio[id] = 0
-	}
-}
+// score history it has accumulated (none reads as priority 0).
+func (p *MRS) Admit(id moe.ExpertID) {}
 
 // Forget implements Policy. Score history survives eviction — the whole
 // point is remembering high scorers while they are absent.
@@ -65,10 +66,10 @@ func (p *MRS) Victim(candidates []moe.ExpertID) moe.ExpertID {
 		panic("cache: Victim with no candidates")
 	}
 	best := candidates[0]
+	bestPrio := at(p.prio, best)
 	for _, c := range candidates[1:] {
-		if p.prio[c] < p.prio[best] ||
-			(p.prio[c] == p.prio[best] && idLess(c, best)) {
-			best = c
+		if prio := at(p.prio, c); prio < bestPrio || (prio == bestPrio && idLess(c, best)) {
+			best, bestPrio = c, prio
 		}
 	}
 	return best
@@ -81,30 +82,35 @@ func (p *MRS) ObserveScores(layer int, scores []float64) {
 	if len(scores) == 0 {
 		return
 	}
+	if layer < 0 {
+		panic(fmt.Sprintf("cache: MRS scores for negative layer %d", layer))
+	}
 	topP := p.topP
 	if topP > len(scores) {
 		topP = len(scores)
 	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
+	// The top p of the stable descending rank: equal scores keep
+	// ascending index order.
+	p.idx = tensor.TopKInto(p.idx, scores, topP)
+	if cap(p.inTop) < len(scores) {
+		p.inTop = make([]bool, len(scores))
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	inTop := make(map[int]bool, topP)
-	for _, e := range idx[:topP] {
+	inTop := p.inTop[:len(scores)]
+	clear(inTop)
+	for _, e := range p.idx {
 		inTop[e] = true
 	}
+	prio := row(&p.prio, layer, len(scores))
 	for e := range scores {
-		id := moe.ExpertID{Layer: layer, Index: e}
 		s := 0.0
 		if inTop[e] {
 			s = scores[e]
 		}
-		p.prio[id] = p.alpha*s + (1-p.alpha)*p.prio[id]
+		prio[e] = p.alpha*s + (1-p.alpha)*prio[e]
 	}
 }
 
 // Priority exposes the current estimate for tests and analysis tools.
-func (p *MRS) Priority(id moe.ExpertID) float64 { return p.prio[id] }
+func (p *MRS) Priority(id moe.ExpertID) float64 { return at(p.prio, id) }
 
 var _ Policy = (*MRS)(nil)

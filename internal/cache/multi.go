@@ -43,7 +43,7 @@ func (m *Multi) Shard(d int) *Cache { return m.shards[d] }
 // Owner reports which device holds id, if any.
 func (m *Multi) Owner(id moe.ExpertID) (int, bool) {
 	for d, s := range m.shards {
-		if s.resident[id] {
+		if s.Contains(id) {
 			return d, true
 		}
 	}
@@ -62,8 +62,9 @@ func (m *Multi) Contains(id moe.ExpertID) bool {
 // miss to the home device the caller names — the device that would
 // receive the transfer.
 func (m *Multi) Lookup(id moe.ExpertID, home int) bool {
+	checkID(id)
 	for _, s := range m.shards {
-		if s.resident[id] {
+		if s.Contains(id) {
 			s.hits++
 			s.policy.Touch(id)
 			return true
@@ -106,6 +107,7 @@ func (m *Multi) Pin(id moe.ExpertID) bool {
 func (m *Multi) Warm(ids []moe.ExpertID) int {
 	n := 0
 	for _, id := range ids {
+		checkID(id)
 		if m.Contains(id) {
 			continue
 		}
@@ -116,7 +118,7 @@ func (m *Multi) Warm(ids []moe.ExpertID) int {
 			if len(s.resident) >= s.capacity {
 				continue
 			}
-			s.resident[id] = true
+			s.add(id)
 			s.policy.Admit(id)
 			m.cursor = (d + 1) % len(m.shards)
 			admitted = true

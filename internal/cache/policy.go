@@ -26,6 +26,8 @@ type Policy interface {
 	// Forget records id leaving the cache.
 	Forget(id moe.ExpertID)
 	// Victim picks the eviction victim among candidates (never empty).
+	// The cache reuses the candidates slice across calls, so Victim
+	// must not keep it (or a subslice of it) after returning.
 	Victim(candidates []moe.ExpertID) moe.ExpertID
 	// ObserveScores feeds one iteration's routing scores for a layer.
 	// Score-agnostic policies ignore it.
@@ -35,11 +37,12 @@ type Policy interface {
 // LRU evicts the least-recently-used expert.
 type LRU struct {
 	clock int64
-	last  map[moe.ExpertID]int64
+	// last[l][e] is expert (l, e)'s last-use clock, 0 when unknown.
+	last [][]int64
 }
 
 // NewLRU returns an empty LRU policy.
-func NewLRU() *LRU { return &LRU{last: make(map[moe.ExpertID]int64)} }
+func NewLRU() *LRU { return &LRU{} }
 
 // Name implements Policy.
 func (p *LRU) Name() string { return "LRU" }
@@ -47,14 +50,18 @@ func (p *LRU) Name() string { return "LRU" }
 // Touch implements Policy.
 func (p *LRU) Touch(id moe.ExpertID) {
 	p.clock++
-	p.last[id] = p.clock
+	*cell(&p.last, id) = p.clock
 }
 
 // Admit implements Policy.
 func (p *LRU) Admit(id moe.ExpertID) { p.Touch(id) }
 
 // Forget implements Policy.
-func (p *LRU) Forget(id moe.ExpertID) { delete(p.last, id) }
+func (p *LRU) Forget(id moe.ExpertID) {
+	if at(p.last, id) != 0 {
+		*cell(&p.last, id) = 0
+	}
+}
 
 // Victim implements Policy: least recently used, ties broken by expert
 // ID so victim choice is independent of candidate order.
@@ -63,10 +70,10 @@ func (p *LRU) Victim(candidates []moe.ExpertID) moe.ExpertID {
 		panic("cache: Victim with no candidates")
 	}
 	best := candidates[0]
+	bestLast := at(p.last, best)
 	for _, c := range candidates[1:] {
-		if p.last[c] < p.last[best] ||
-			(p.last[c] == p.last[best] && idLess(c, best)) {
-			best = c
+		if last := at(p.last, c); last < bestLast || (last == bestLast && idLess(c, best)) {
+			best, bestLast = c, last
 		}
 	}
 	return best
@@ -85,25 +92,24 @@ func (p *LRU) ObserveScores(int, []float64) {}
 
 // LFU evicts the least-frequently-used expert (total hit count).
 type LFU struct {
-	count map[moe.ExpertID]int64
+	// count[l][e] is expert (l, e)'s hit count.
+	count [][]int64
 	// tie-breaking by recency avoids pathological churn
 	clock int64
-	last  map[moe.ExpertID]int64
+	last  [][]int64
 }
 
 // NewLFU returns an empty LFU policy.
-func NewLFU() *LFU {
-	return &LFU{count: make(map[moe.ExpertID]int64), last: make(map[moe.ExpertID]int64)}
-}
+func NewLFU() *LFU { return &LFU{} }
 
 // Name implements Policy.
 func (p *LFU) Name() string { return "LFU" }
 
 // Touch implements Policy.
 func (p *LFU) Touch(id moe.ExpertID) {
-	p.count[id]++
+	*cell(&p.count, id)++
 	p.clock++
-	p.last[id] = p.clock
+	*cell(&p.last, id) = p.clock
 }
 
 // Admit implements Policy.
@@ -119,18 +125,12 @@ func (p *LFU) Victim(candidates []moe.ExpertID) moe.ExpertID {
 		panic("cache: Victim with no candidates")
 	}
 	best := candidates[0]
+	bestCount, bestLast := at(p.count, best), at(p.last, best)
 	for _, c := range candidates[1:] {
-		switch {
-		case p.count[c] != p.count[best]:
-			if p.count[c] < p.count[best] {
-				best = c
-			}
-		case p.last[c] != p.last[best]:
-			if p.last[c] < p.last[best] {
-				best = c
-			}
-		case idLess(c, best):
-			best = c
+		count, last := at(p.count, c), at(p.last, c)
+		if count < bestCount ||
+			(count == bestCount && (last < bestLast || (last == bestLast && idLess(c, best)))) {
+			best, bestCount, bestLast = c, count, last
 		}
 	}
 	return best

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hybrimoe/internal/cache"
@@ -48,15 +49,32 @@ type Engine struct {
 	linkBusy []float64
 	clock    float64
 
-	// predScores/predF32/predIdx are PredictedResidency's per-layer
-	// scratch — fleet routers poll the residency signal once per
-	// eligible replica per dispatch, so the probe must not allocate.
-	predScores []float64
-	predF32    []float32
-	predIdx    []int
 	// curTokens is the current step's batch size (prefetch load
 	// prediction scales with it).
 	curTokens int
+
+	// active[x] marks expert x of activeLayer as activated in the
+	// current layer; protected (isActive) keeps those experts from being
+	// evicted while the layer runs. dest[x] is applyPlan's transfer
+	// destination for expert x of the current layer. predScores, loads
+	// and order are predictedLoads' scratch.
+	activeLayer int
+	active      []bool
+	protected   func(moe.ExpertID) bool
+	dest        []int
+	predScores  []float64
+	loads       []int
+	order       []int
+	// tasks, gpuFrees and linkFrees are runStep's per-layer planning
+	// scratch (schedulers must not retain tasks).
+	tasks               []sched.Task
+	gpuFrees, linkFrees []float64
+	// prefCtx is prefetchInto's Context with the per-engine fields set
+	// once; prefLayer is the layer it is serving (PredictedLoads counts
+	// lookahead from it) and budgets its per-link scratch.
+	prefCtx   prefetch.Context
+	prefLayer int
+	budgets   []float64
 
 	cpuTL           *sim.Timeline
 	gpuTLs, linkTLs []*sim.Timeline
@@ -124,7 +142,12 @@ func New(cfg *moe.Config, platform *hw.Platform, fw Framework, opts ...Option) (
 		}
 	}
 
-	e := &Engine{cfg: cfg, platform: platform, fw: fw, set: set}
+	e := &Engine{cfg: cfg, platform: platform, fw: fw, set: set,
+		active: make([]bool, cfg.RoutedExperts),
+		dest:   make([]int, cfg.RoutedExperts),
+		loads:  make([]int, cfg.RoutedExperts),
+	}
+	e.protected = e.isActive
 	e.gen = trace.New(cfg, trace.DefaultOptions(set.seed))
 
 	e.gpuLayers = int(set.cacheRatio * float64(cfg.Layers))
@@ -189,6 +212,18 @@ func New(cfg *moe.Config, platform *hw.Platform, fw Framework, opts ...Option) (
 	}
 	e.gpuBusy = make([]float64, gpus)
 	e.linkBusy = make([]float64, gpus)
+	e.budgets = make([]float64, e.placeGPUs)
+	e.prefCtx = prefetch.Context{
+		Cfg:      cfg,
+		Platform: platform,
+		Target:   e.homeDevice,
+		PredictedLoads: func(l int) []int {
+			return e.predictedLoads(e.prefLayer, l)
+		},
+		IsCached: e.isCached,
+	}
+	e.gpuFrees = make([]float64, gpus)
+	e.linkFrees = make([]float64, gpus)
 	e.warmCache()
 
 	if set.recordTrace {
@@ -220,29 +255,28 @@ func (e *Engine) warmCache() {
 		return
 	}
 	hist := e.gen.ForkHistory(e.set.seed ^ 0x5eedf00d)
-	counts := make(map[moe.ExpertID]int)
+	n := e.cfg.RoutedExperts
+	// counts[l*n+x] is expert (l, x)'s activation count.
+	counts := make([]int, e.cfg.Layers*n)
+	count := func(id moe.ExpertID) int { return counts[id.Layer*n+id.Index] }
 	for i := 0; i < e.set.warmupIters; i++ {
 		hist.Advance()
 		for l := 0; l < e.cfg.Layers; l++ {
 			for _, x := range hist.Activated(l) {
-				counts[moe.ExpertID{Layer: l, Index: x}]++
+				counts[l*n+x]++
 			}
 			e.placeCache.ObserveScores(l, hist.Scores(l))
 		}
 	}
-	ids := make([]moe.ExpertID, 0, len(counts))
-	for id := range counts {
-		ids = append(ids, id)
+	var ids []moe.ExpertID
+	for i, c := range counts {
+		if c > 0 {
+			ids = append(ids, moe.ExpertID{Layer: i / n, Index: i % n})
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if counts[ids[i]] != counts[ids[j]] {
-			return counts[ids[i]] > counts[ids[j]]
-		}
-		if ids[i].Layer != ids[j].Layer {
-			return ids[i].Layer < ids[j].Layer
-		}
-		return ids[i].Index < ids[j].Index
-	})
+	// Hottest first; ids is already in (layer, index) order, so a
+	// stable sort on the count alone breaks ties that way.
+	slices.SortStableFunc(ids, func(a, b moe.ExpertID) int { return count(b) - count(a) })
 	if e.fw.PinWarm {
 		for _, id := range ids {
 			if e.placeCache.Len() >= e.placeCache.Capacity() {
@@ -258,7 +292,7 @@ func (e *Engine) warmCache() {
 	// LFU counts and LRU recency the state of a long-running server
 	// instead of treating every warm expert as a one-hit wonder.
 	for i := len(ids) - 1; i >= 0; i-- {
-		for n := 0; n < counts[ids[i]]; n++ {
+		for k := count(ids[i]); k > 0; k-- {
 			e.placeCache.TouchHistorical(ids[i])
 		}
 	}
@@ -343,16 +377,21 @@ func (e *Engine) runStep(acts []trace.LayerActivation, tokens, context int, perL
 
 		// Routed experts: look up residency (with hit accounting), plan
 		// and apply.
-		active := make(map[moe.ExpertID]bool)
-		for _, id := range act.ActiveExperts() {
-			active[id] = true
+		e.activeLayer = act.Layer
+		clear(e.active)
+		for x, load := range act.Loads {
+			if load <= 0 {
+				continue
+			}
+			e.active[x] = true
+			id := moe.ExpertID{Layer: act.Layer, Index: x}
 			lookups := 1
 			if perLoadLookups {
 				// One lookup per routed token — the load is the batch
 				// width here, bounded by the concurrency limit, and the
 				// repeated policy touches mirror the ones the batched
 				// requests' separate steps would have made.
-				lookups = act.Loads[id.Index]
+				lookups = load
 			}
 			for n := 0; n < lookups; n++ {
 				// Hit/miss statistics; misses are attributed to the
@@ -360,13 +399,14 @@ func (e *Engine) runStep(acts []trace.LayerActivation, tokens, context int, perL
 				e.placeCache.Lookup(id, e.homeDevice(id).GPUIndex())
 			}
 		}
-		tasks := sched.TasksFromLoadsOn(e.cfg, act.Layer, act.Loads, e.residentOn)
+		e.tasks = sched.AppendTasks(e.tasks[:0], e.cfg, act.Layer, act.Loads, e.residentOn)
+		tasks := e.tasks
 		res := sched.Resources{
 			CPUFree:   maxF(0, e.cpuBusy-layerStart),
 			GPUFree:   maxF(0, e.gpuBusy[0]-layerStart),
 			LinkFree:  maxF(0, e.linkBusy[0]-layerStart),
-			GPUFrees:  make([]float64, len(e.gpuBusy)),
-			LinkFrees: make([]float64, len(e.linkBusy)),
+			GPUFrees:  e.gpuFrees,
+			LinkFrees: e.linkFrees,
 		}
 		for d := range e.gpuBusy {
 			res.GPUFrees[d] = maxF(0, e.gpuBusy[d]-layerStart)
@@ -378,7 +418,7 @@ func (e *Engine) runStep(acts []trace.LayerActivation, tokens, context int, perL
 				panic(fmt.Sprintf("engine: invalid plan at layer %d: %v", act.Layer, err))
 			}
 		}
-		e.applyPlan(plan, layerStart, active)
+		e.applyPlan(plan, layerStart)
 
 		layerEnd := maxF(attEnd, layerStart+plan.Makespan)
 		e.clock = layerEnd
@@ -388,49 +428,53 @@ func (e *Engine) runStep(acts []trace.LayerActivation, tokens, context int, perL
 
 		// Spend PCIe idle time: prefetch upcoming layers, then refresh
 		// the cache with this layer's misses if the framework does so.
-		e.prefetchInto(act.Layer, layerEnd, active)
-		e.missInsert(act, layerEnd, active)
+		e.prefetchInto(act.Layer, layerEnd)
+		e.missInsert(act, layerEnd)
 	}
 	return e.clock - stepStart
 }
 
-func (e *Engine) applyPlan(plan *sched.Plan, layerStart float64, active map[moe.ExpertID]bool) {
+// isActive reports whether id is activated in the layer running now.
+func (e *Engine) isActive(id moe.ExpertID) bool {
+	return id.Layer == e.activeLayer && e.active[id.Index]
+}
+
+func (e *Engine) applyPlan(plan *sched.Plan, layerStart float64) {
 	// Transfer destinations: the op's device says which shard receives
-	// the weights the plan moved.
-	dest := make(map[moe.ExpertID]int)
+	// the weights the plan moved. Every op is of the current layer.
+	clear(e.dest)
 	for _, op := range plan.Ops {
 		absStart, absEnd := layerStart+op.Start, layerStart+op.End
 		switch op.Kind {
 		case sched.OpComputeCPU:
 			e.stats.CPUOps++
-			e.reserveTL(e.cpuTL, absStart, absEnd, op.Expert.String())
+			e.reserveExpert(e.cpuTL, absStart, absEnd, "", op.Expert)
 			e.cpuBusy = maxF(e.cpuBusy, absEnd)
 		case sched.OpComputeGPU:
 			d := op.Device.GPUIndex()
 			e.stats.GPUOps++
-			e.reserveTL(e.gpuTL(d), absStart, absEnd, op.Expert.String())
+			e.reserveExpert(e.gpuTL(d), absStart, absEnd, "", op.Expert)
 			e.gpuBusy[d] = maxF(e.gpuBusy[d], absEnd)
 		case sched.OpTransfer:
 			d := op.Device.GPUIndex()
 			e.stats.DemandTransfers++
-			e.reserveTL(e.linkTL(d), absStart, absEnd, op.Expert.String())
+			e.reserveExpert(e.linkTL(d), absStart, absEnd, "", op.Expert)
 			e.linkBusy[d] = maxF(e.linkBusy[d], absEnd)
-			dest[op.Expert] = d
+			e.dest[op.Expert.Index] = d
 		}
 	}
-	protected := func(id moe.ExpertID) bool { return active[id] }
 	for _, id := range plan.Transferred {
-		e.placeCache.Insert(id, dest[id], protected)
+		e.placeCache.Insert(id, e.dest[id.Index], e.protected)
 	}
 }
 
 // prefetchInto spends PCIe idle time until layerEnd on upcoming layers,
 // each pick riding its target device's own host link.
-func (e *Engine) prefetchInto(layer int, layerEnd float64, active map[moe.ExpertID]bool) {
+func (e *Engine) prefetchInto(layer int, layerEnd float64) {
 	// Only the links placement can target count: a confined single-GPU
 	// planner on an N-GPU platform must not see the idle extra links,
 	// or the prefetcher would price candidates it can never afford.
-	budgets := make([]float64, e.placeGPUs)
+	budgets := e.budgets
 	anyIdle := false
 	for d := range budgets {
 		budgets[d] = layerEnd - e.linkBusy[d]
@@ -443,33 +487,21 @@ func (e *Engine) prefetchInto(layer int, layerEnd float64, active map[moe.Expert
 	if !anyIdle {
 		return
 	}
-	curLayer := layer
-	ctx := prefetch.Context{
-		Cfg:      e.cfg,
-		Platform: e.platform,
-		Layer:    layer,
-		Budget:   budgets[0],
-		Budgets:  budgets,
-		Target:   e.homeDevice,
-		PredictedLoads: func(l int) []int {
-			return e.predictedLoads(curLayer, l)
-		},
-		IsCached:  e.isCached,
-		Scheduler: e.scheduler,
-	}
+	e.prefLayer = layer
+	ctx := e.prefCtx
+	ctx.Layer, ctx.Budget, ctx.Budgets, ctx.Scheduler = layer, budgets[0], budgets, e.scheduler
 	picks := e.pref.Select(ctx)
-	protected := func(id moe.ExpertID) bool { return active[id] }
 	for _, id := range picks {
 		d := e.homeDevice(id).GPUIndex()
 		// A shard full of protected residents only blocks its own
 		// device's picks; on one device the failure repeats, matching
 		// the old early exit.
-		if _, ok := e.placeCache.Insert(id, d, protected); !ok {
+		if _, ok := e.placeCache.Insert(id, d, e.protected); !ok {
 			continue
 		}
 		xfer := e.platform.Links[d].TransferTime(e.cfg.ExpertBytes())
 		start := e.linkBusy[d]
-		e.reserveTL(e.linkTL(d), start, start+xfer, "pf:"+id.String())
+		e.reserveExpert(e.linkTL(d), start, start+xfer, "pf:", id)
 		e.linkBusy[d] = start + xfer
 		e.stats.PrefetchTransfers++
 	}
@@ -478,21 +510,21 @@ func (e *Engine) prefetchInto(layer int, layerEnd float64, active map[moe.Expert
 // predictedLoads estimates a future layer's per-expert loads from the
 // gate-reuse prediction: the top-k predicted experts receive their
 // expected token share for the current batch size (unit loads at
-// decode).
+// decode). The result is the engine's scratch, valid until the next
+// call.
 func (e *Engine) predictedLoads(curLayer, layer int) []int {
+	loads := e.loads
+	clear(loads)
 	lookahead := layer - curLayer
 	if lookahead <= 0 || layer >= e.cfg.Layers {
-		return make([]int, e.cfg.RoutedExperts)
+		return loads
 	}
-	scores := e.gen.PredictedScores(layer, lookahead)
-	loads := make([]int, e.cfg.RoutedExperts)
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
+	e.predScores = e.gen.PredictedScoresInto(e.predScores, layer, lookahead)
+	scores := e.predScores
+	// The top k of the stable descending rank over the float64 scores.
+	e.order = tensor.TopKInto(e.order, scores, e.cfg.ActivatedExperts)
 	assignments := float64(e.curTokens * e.cfg.ActivatedExperts)
-	for _, x := range idx[:e.cfg.ActivatedExperts] {
+	for _, x := range e.order {
 		load := int(scores[x]*assignments + 0.5)
 		if load < 1 {
 			load = 1
@@ -504,7 +536,7 @@ func (e *Engine) predictedLoads(curLayer, layer int) []int {
 
 // missInsert refreshes the cache with this layer's missed experts in
 // leftover PCIe idle time (static-scheduler frameworks' cache path).
-func (e *Engine) missInsert(act trace.LayerActivation, layerEnd float64, active map[moe.ExpertID]bool) {
+func (e *Engine) missInsert(act trace.LayerActivation, layerEnd float64) {
 	if !e.fw.OnMissInsert {
 		return
 	}
@@ -523,7 +555,6 @@ func (e *Engine) missInsert(act trace.LayerActivation, layerEnd float64, active 
 		}
 	}
 	sort.SliceStable(misses, func(i, j int) bool { return misses[i].score > misses[j].score })
-	protected := func(id moe.ExpertID) bool { return active[id] }
 	for _, m := range misses {
 		d := e.homeDevice(m.id).GPUIndex()
 		xfer := e.platform.Links[d].TransferTime(e.cfg.ExpertBytes())
@@ -535,11 +566,11 @@ func (e *Engine) missInsert(act trace.LayerActivation, layerEnd float64, active 
 		if e.linkBusy[d]+xfer > layerEnd {
 			continue
 		}
-		if _, ok := e.placeCache.Insert(m.id, d, protected); !ok {
+		if _, ok := e.placeCache.Insert(m.id, d, e.protected); !ok {
 			continue
 		}
 		start := e.linkBusy[d]
-		e.reserveTL(e.linkTL(d), start, start+xfer, "mi:"+m.id.String())
+		e.reserveExpert(e.linkTL(d), start, start+xfer, "mi:", m.id)
 		e.linkBusy[d] = start + xfer
 		e.stats.MissInserts++
 	}
@@ -550,6 +581,14 @@ func (e *Engine) reserveTL(tl *sim.Timeline, start, end float64, name string) {
 		return
 	}
 	tl.Reserve(start, end-start, name)
+}
+
+// reserveExpert is reserveTL for an expert's span, named prefix+id. The
+// name is formatted only when the timeline is recorded.
+func (e *Engine) reserveExpert(tl *sim.Timeline, start, end float64, prefix string, id moe.ExpertID) {
+	if tl != nil {
+		e.reserveTL(tl, start, end, prefix+id.String())
+	}
 }
 
 // gpuTL and linkTL return device d's recorded timeline (nil without
@@ -582,16 +621,7 @@ func (e *Engine) Clock() float64 { return e.clock }
 // so routers may poll it at every dispatch without perturbing runs.
 func (e *Engine) PredictedResidency() (resident, predicted int) {
 	for l := 0; l < e.cfg.Layers; l++ {
-		e.predScores = e.gen.PredictedScoresInto(e.predScores, l, 1)
-		if cap(e.predF32) < len(e.predScores) {
-			e.predF32 = make([]float32, len(e.predScores))
-		}
-		f32 := e.predF32[:len(e.predScores)]
-		for i, v := range e.predScores {
-			f32[i] = float32(v)
-		}
-		e.predIdx = tensor.TopKInto(e.predIdx, f32, e.cfg.ActivatedExperts)
-		for _, x := range e.predIdx {
+		for _, x := range e.gen.PredictedTopK(l, 1) {
 			predicted++
 			// isCached covers layer-mapped frameworks too (their
 			// residency is the static layer split, not the cache).
@@ -612,12 +642,7 @@ func (e *Engine) PredictedResidency() (resident, predicted int) {
 func (e *Engine) residentWorkingSet() []workload.ExpertRef {
 	var refs []workload.ExpertRef
 	for l := 0; l < e.cfg.Layers; l++ {
-		scores := e.gen.PredictedScores(l, 1)
-		f32 := make([]float32, len(scores))
-		for i, v := range scores {
-			f32[i] = float32(v)
-		}
-		for _, x := range tensor.TopK(f32, e.cfg.ActivatedExperts) {
+		for _, x := range e.gen.PredictedTopK(l, 1) {
 			if e.isCached(moe.ExpertID{Layer: l, Index: x}) {
 				refs = append(refs, workload.ExpertRef{Layer: l, Index: x})
 			}

@@ -153,18 +153,22 @@ func CacheHitRate(cfg *moe.Config, policy cache.Policy, ratio float64, iters int
 		}
 	}
 	c.Warm(warm)
+	// The current layer's activated experts are protected from eviction.
+	layer, active := 0, make([]bool, cfg.RoutedExperts)
+	protected := func(x moe.ExpertID) bool { return x.Layer == layer && active[x.Index] }
 	for i := 0; i < iters; i++ {
 		g.Advance()
 		for l := 0; l < cfg.Layers; l++ {
 			acts := g.Activated(l)
-			active := make(map[moe.ExpertID]bool, len(acts))
+			layer = l
+			clear(active)
 			for _, e := range acts {
-				active[moe.ExpertID{Layer: l, Index: e}] = true
+				active[e] = true
 			}
 			for _, e := range acts {
 				id := moe.ExpertID{Layer: l, Index: e}
 				if !c.Lookup(id) {
-					c.Insert(id, func(x moe.ExpertID) bool { return active[x] })
+					c.Insert(id, protected)
 				}
 			}
 			c.ObserveScores(l, g.Scores(l))

@@ -45,7 +45,8 @@ type Context struct {
 	Target func(moe.ExpertID) hw.Device
 	// PredictedLoads estimates per-expert token loads for a future
 	// layer (absolute index). Entries of zero mean "not predicted
-	// active".
+	// active". The returned slice may be reused by the next call, so
+	// consume it before asking for another layer.
 	PredictedLoads func(layer int) []int
 	// IsCached reports current GPU residency (on any device).
 	IsCached func(moe.ExpertID) bool
@@ -155,10 +156,13 @@ func (NextLayerTopK) Select(ctx Context) []moe.ExpertID {
 // ImpactDriven is the paper's prefetcher: candidates from the next
 // Window layers are priced by simulating the future layer's schedule
 // with and without the candidate resident, and the largest expected
-// gains are prefetched first.
+// gains are prefetched first. It reuses a task scratch across calls,
+// so one instance serves one engine.
 type ImpactDriven struct {
 	// Window is the lookahead depth in layers (DefaultWindow when 0).
 	Window int
+
+	tasks []sched.Task
 }
 
 // NewImpactDriven returns the impact-driven prefetcher with the paper's
@@ -191,23 +195,24 @@ func (p *ImpactDriven) Select(ctx Context) []moe.ExpertID {
 		gain float64
 	}
 	var cands []scored
+	residency := func(id moe.ExpertID) (hw.Device, bool) { return hw.GPU, ctx.IsCached(id) }
 	for d := 1; d <= window; d++ {
 		layer := ctx.Layer + d
 		if layer >= ctx.Cfg.Layers {
 			break
 		}
 		loads := ctx.PredictedLoads(layer)
-		tasks := sched.TasksFromLoads(ctx.Cfg, layer, loads, ctx.IsCached)
+		p.tasks = sched.AppendTasks(p.tasks[:0], ctx.Cfg, layer, loads, residency)
+		tasks := p.tasks
 		if len(tasks) == 0 {
 			continue
 		}
-		base := sched.SimulateMakespan(ctx.Scheduler, tasks, ctx.Platform, sched.Resources{}, nil)
-		for _, task := range tasks {
+		base := sched.SimulateMakespan(ctx.Scheduler, tasks, ctx.Platform, sched.Resources{}, -1)
+		for i, task := range tasks {
 			if task.Cached {
 				continue
 			}
-			with := sched.SimulateMakespan(ctx.Scheduler, tasks, ctx.Platform, sched.Resources{},
-				map[moe.ExpertID]bool{task.ID: true})
+			with := sched.SimulateMakespan(ctx.Scheduler, tasks, ctx.Platform, sched.Resources{}, i)
 			gain := base - with
 			if gain <= 0 {
 				continue

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"hybrimoe/internal/hw"
-	"hybrimoe/internal/moe"
 )
 
 // HybriMoE is the paper's dynamic intra-layer scheduler (§IV-B). It
@@ -199,18 +198,17 @@ var _ Scheduler = (*HybriMoE)(nil)
 
 // SimulateMakespan predicts the makespan of scheduling tasks under the
 // given resources without materialising the plan — the cheap what-if
-// query the impact-driven prefetcher issues (§IV-C). cached overrides
-// task residency: experts in the set are treated as already on the GPU.
-func SimulateMakespan(s Scheduler, tasks []Task, p *hw.Platform, res Resources, cached map[moe.ExpertID]bool) float64 {
-	if cached != nil {
-		adjusted := make([]Task, len(tasks))
-		copy(adjusted, tasks)
-		for i := range adjusted {
-			if cached[adjusted[i].ID] {
-				adjusted[i].Cached = true
-			}
-		}
-		tasks = adjusted
+// query the impact-driven prefetcher issues (§IV-C). cached is the
+// index of one task to treat as already on the GPU, or -1 for none. The
+// override flips that task's Cached flag for the duration of the call
+// and restores it, so tasks is unchanged on return but must not be read
+// concurrently.
+func SimulateMakespan(s Scheduler, tasks []Task, p *hw.Platform, res Resources, cached int) float64 {
+	if cached < 0 || tasks[cached].Cached {
+		return s.Plan(tasks, p, res).Makespan
 	}
-	return s.Plan(tasks, p, res).Makespan
+	tasks[cached].Cached = true
+	makespan := s.Plan(tasks, p, res).Makespan
+	tasks[cached].Cached = false
+	return makespan
 }

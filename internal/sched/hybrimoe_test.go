@@ -258,11 +258,10 @@ func TestHybriMoEPlanAlwaysValid(t *testing.T) {
 func TestSimulateMakespanCachedOverride(t *testing.T) {
 	p := hw.UnitPlatform()
 	tasks := []Task{unitTask(0, 3, false)}
-	base := SimulateMakespan(NewHybriMoE(), tasks, p, Resources{}, nil)
+	base := SimulateMakespan(NewHybriMoE(), tasks, p, Resources{}, -1)
 	// Pretend the expert were cached: makespan should drop to 1 GPU unit
 	// (or the CPU steal at 3 — GPU is faster).
-	cached := SimulateMakespan(NewHybriMoE(), tasks, p, Resources{},
-		map[moe.ExpertID]bool{id(0, 0): true})
+	cached := SimulateMakespan(NewHybriMoE(), tasks, p, Resources{}, 0)
 	if cached >= base {
 		t.Fatalf("caching override should shrink makespan: %v vs %v", cached, base)
 	}
@@ -280,14 +279,17 @@ func TestTasksFromLoads(t *testing.T) {
 	loads := make([]int, cfg.RoutedExperts)
 	loads[3] = 5
 	loads[7] = 1
-	tasks := TasksFromLoads(cfg, 2, loads, func(e moe.ExpertID) bool { return e.Index == 3 })
-	if len(tasks) != 2 {
-		t.Fatalf("tasks = %d, want 2", len(tasks))
+	residentOn := func(e moe.ExpertID) (hw.Device, bool) { return hw.GPUAt(1), e.Index == 3 }
+	prior := []Task{unitTask(0, 1, false)}
+	tasks := AppendTasks(prior[:1:1], cfg, 2, loads, residentOn)
+	if len(tasks) != 3 || tasks[0] != prior[0] {
+		t.Fatalf("tasks = %+v, want the prior task then 2 appended", tasks)
 	}
-	if tasks[0].ID != id(2, 3) || !tasks[0].Cached || tasks[0].Load != 5 {
+	tasks = tasks[1:]
+	if tasks[0].ID != id(2, 3) || !tasks[0].Cached || tasks[0].Load != 5 || tasks[0].Device != hw.GPUAt(1) {
 		t.Fatalf("task[0] = %+v", tasks[0])
 	}
-	if tasks[1].ID != id(2, 7) || tasks[1].Cached {
+	if tasks[1].ID != id(2, 7) || tasks[1].Cached || tasks[1].Device != hw.GPU {
 		t.Fatalf("task[1] = %+v", tasks[1])
 	}
 	if tasks[0].Flops != cfg.ExpertFlops(5) || tasks[0].Bytes != cfg.ExpertBytes() {

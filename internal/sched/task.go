@@ -298,21 +298,12 @@ func (pl *Plan) Validate(tasks []Task, res Resources) error {
 // follow residency to the owning device.
 type Residency func(moe.ExpertID) (hw.Device, bool)
 
-// TasksFromLoads builds the task list for one layer from per-expert
-// token loads, using cfg for sizing and isCached for residency. Experts
-// with zero load are skipped. Cached experts are attributed to GPU0 —
-// the single-GPU convention; use TasksFromLoadsOn when residency is
-// spread across devices.
-func TasksFromLoads(cfg *moe.Config, layer int, loads []int, isCached func(moe.ExpertID) bool) []Task {
-	return TasksFromLoadsOn(cfg, layer, loads, func(id moe.ExpertID) (hw.Device, bool) {
-		return hw.GPU, isCached(id)
-	})
-}
-
-// TasksFromLoadsOn builds the task list with per-device residency:
-// cached tasks carry the device holding their copy.
-func TasksFromLoadsOn(cfg *moe.Config, layer int, loads []int, residentOn Residency) []Task {
-	var tasks []Task
+// AppendTasks appends the task list for one layer, built from
+// per-expert token loads, to tasks and returns it: cfg sizes each task
+// and residentOn gives its residency, so a cached task carries the
+// device holding its copy. Experts with zero load are skipped. Passing
+// a reused slice lets a caller that plans every layer avoid allocating.
+func AppendTasks(tasks []Task, cfg *moe.Config, layer int, loads []int, residentOn Residency) []Task {
 	for e, load := range loads {
 		if load == 0 {
 			continue

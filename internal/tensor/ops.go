@@ -51,33 +51,43 @@ func TopK(xs []float32, k int) []int {
 	return idx[:k]
 }
 
-// TopKInto is TopK writing into dst's backing array (grown as needed):
-// the same indices in the same order — descending value, ties broken by
-// ascending index, exactly the stable argsort — via k successive
-// max-selections, so hot paths probing small k over large vectors pay
-// no per-call allocation. Each round admits only candidates ranking
-// strictly after the previous pick in the (value desc, index asc) total
-// order, which is both the dedup and the tie rule.
-func TopKInto(dst []int, xs []float32, k int) []int {
+// TopKInto is TopK writing into dst's backing array (grown as needed),
+// over float32 or float64 values: the same indices in the same order —
+// descending value, ties broken by ascending index, exactly the stable
+// argsort's first k — so hot paths probing small k over large vectors
+// pay no per-call allocation. It is a bounded insertion sort: values
+// are visited in index order and, once k are held, one enters only when
+// strictly greater than the current k-th, shifting past strictly
+// smaller entries, so an equal value never overtakes a lower index.
+func TopKInto[T float32 | float64](dst []int, xs []T, k int) []int {
 	if k <= 0 || k > len(xs) {
 		panic(fmt.Sprintf("tensor: TopKInto k=%d with %d values", k, len(xs)))
 	}
-	dst = dst[:0]
-	prev, prevIdx := float32(0), -1
-	for j := 0; j < k; j++ {
-		best := -1
-		for i, v := range xs {
-			if j > 0 && (v > prev || (v == prev && i <= prevIdx)) {
-				continue
-			}
-			if best < 0 || v > xs[best] {
-				best = i
-			}
+	dst = append(dst[:0], 0)
+	for i := 1; i < k; i++ {
+		dst = append(dst, i)
+		insertRanked(dst, xs, i)
+	}
+	last := xs[dst[k-1]]
+	for i := k; i < len(xs); i++ {
+		if xs[i] > last {
+			insertRanked(dst, xs, i)
+			last = xs[dst[k-1]]
 		}
-		dst = append(dst, best)
-		prev, prevIdx = xs[best], best
 	}
 	return dst
+}
+
+// insertRanked places index i into dst's last slot and shifts it toward
+// the front past every strictly smaller value.
+func insertRanked[T float32 | float64](dst []int, xs []T, i int) {
+	v := xs[i]
+	j := len(dst) - 1
+	for j > 0 && xs[dst[j-1]] < v {
+		dst[j] = dst[j-1]
+		j--
+	}
+	dst[j] = i
 }
 
 // SoftmaxTopK implements the MoE gating combination from Eq. (1) of the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -132,6 +133,31 @@ func TestTopKIntoMatchesTopK(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("TopKInto allocated %.1f times per call with warm scratch", allocs)
+	}
+}
+
+// TestTopKIntoFloat64MatchesStableArgsort checks the float64
+// instantiation against a stable descending argsort of the same values,
+// with ties, at every k.
+func TestTopKIntoFloat64MatchesStableArgsort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var dst []int
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]float64, 1+rng.Intn(70))
+		for i := range xs {
+			xs[i] = float64(rng.Intn(9)) / 8
+		}
+		idx := make([]int, len(xs))
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return xs[idx[a]] > xs[idx[b]] })
+		for k := 1; k <= len(xs); k++ {
+			dst = TopKInto(dst, xs, k)
+			if !reflect.DeepEqual(dst, idx[:k]) {
+				t.Fatalf("xs=%v k=%d: TopKInto=%v, stable argsort=%v", xs, k, dst, idx[:k])
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"hybrimoe/internal/moe"
 	"hybrimoe/internal/stats"
+	"hybrimoe/internal/tensor"
 )
 
 // ActivationCounts runs the generator for iters decode iterations and
@@ -55,7 +56,7 @@ func ReuseByRank(g *Generator, iters int) []float64 {
 
 	g.Advance()
 	for l := 0; l < g.cfg.Layers; l++ {
-		prevRank[l] = scoreRanks(g.Scores(l))
+		prevRank[l] = g.scoreRanks(g.Scores(l))
 	}
 	for i := 0; i < iters; i++ {
 		g.Advance()
@@ -70,7 +71,7 @@ func ReuseByRank(g *Generator, iters int) []float64 {
 					hits[r]++
 				}
 			}
-			prevRank[l] = scoreRanks(g.Scores(l))
+			prevRank[l] = g.scoreRanks(g.Scores(l))
 		}
 	}
 	out := make([]float64, n)
@@ -82,9 +83,10 @@ func ReuseByRank(g *Generator, iters int) []float64 {
 	return out
 }
 
-// scoreRanks maps expert index -> descending-score rank (0 = top).
-func scoreRanks(scores []float64) []int {
-	idx := topKIndices(scores, len(scores))
+// scoreRanks maps expert index -> descending-score rank (0 = top), with
+// topK's float32 tie rule.
+func (g *Generator) scoreRanks(scores []float64) []int {
+	idx := tensor.TopK(g.narrow(scores), len(scores))
 	ranks := make([]int, len(scores))
 	for r, e := range idx {
 		ranks[e] = r
@@ -102,7 +104,7 @@ func InterLayerPredictionAccuracy(g *Generator, lookahead, iters int) float64 {
 		g.Advance()
 		for l := 0; l < g.cfg.Layers; l++ {
 			truth := g.Activated(l)
-			pred := topKIndices(g.PredictedScores(l, lookahead), g.cfg.ActivatedExperts)
+			pred := g.PredictedTopK(l, lookahead)
 			acc.Add(jaccard(truth, pred))
 		}
 	}
@@ -146,10 +148,11 @@ func DecodeStep(g *Generator) []LayerActivation {
 	out := make([]LayerActivation, g.cfg.Layers)
 	for l := 0; l < g.cfg.Layers; l++ {
 		loads := make([]int, g.cfg.RoutedExperts)
-		for _, e := range g.Activated(l) {
+		scores := g.Scores(l)
+		for _, e := range g.topK(scores, g.cfg.ActivatedExperts) {
 			loads[e] = 1
 		}
-		out[l] = LayerActivation{Layer: l, Loads: loads, Scores: g.Scores(l)}
+		out[l] = LayerActivation{Layer: l, Loads: loads, Scores: scores}
 	}
 	return out
 }

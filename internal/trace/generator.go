@@ -98,6 +98,12 @@ type Generator struct {
 	// fresh generator on the routing hot path. Reseed restores the
 	// exact NewRNG state, so draws are byte-identical.
 	predRNG stats.RNG
+	// scores, perTok, f32 and top are reused scratch for the top-k
+	// paths (Activated, PredictedTopK, PrefillLoads, topK).
+	scores []float64
+	perTok []float64
+	f32    []float32
+	top    []int
 }
 
 // New builds a generator for cfg. It panics on an invalid configuration;
@@ -173,8 +179,9 @@ func (g *Generator) Scores(layer int) []float64 {
 // Activated returns the current top-k experts of a layer in descending
 // score order (a decode iteration's activation set).
 func (g *Generator) Activated(layer int) []int {
-	scores := g.Scores(layer)
-	return topKIndices(scores, g.cfg.ActivatedExperts)
+	g.checkLayer(layer)
+	g.scores = softmax64Into(g.scores, g.latent[layer])
+	return append([]int(nil), g.topK(g.scores, g.cfg.ActivatedExperts)...)
 }
 
 // PredictedScores returns a prediction of layer's scores as seen from
@@ -215,6 +222,16 @@ func (g *Generator) PredictedScoresInto(dst []float64, layer, lookahead int) []f
 	return noisy
 }
 
+// PredictedTopK returns the top-k experts of PredictedScores(layer,
+// lookahead), ranked like Activated. The result lives in the
+// generator's scratch and is valid only until the next call of
+// PredictedTopK (or any other top-k on this generator); it does not
+// allocate once the scratch exists.
+func (g *Generator) PredictedTopK(layer, lookahead int) []int {
+	g.scores = g.PredictedScoresInto(g.scores, layer, lookahead)
+	return g.topK(g.scores, g.cfg.ActivatedExperts)
+}
+
 // PrefillLoads simulates routing `tokens` tokens through a layer in one
 // prefill forward: each token adds per-token noise to the layer latent
 // and selects its own top-k. The result maps expert index to token
@@ -225,12 +242,15 @@ func (g *Generator) PrefillLoads(layer, tokens int) []int {
 		panic(fmt.Sprintf("trace: non-positive token count %d", tokens))
 	}
 	loads := make([]int, g.cfg.RoutedExperts)
-	perTok := make([]float64, g.cfg.RoutedExperts)
+	if cap(g.perTok) < g.cfg.RoutedExperts {
+		g.perTok = make([]float64, g.cfg.RoutedExperts)
+	}
+	perTok := g.perTok[:g.cfg.RoutedExperts]
 	for t := 0; t < tokens; t++ {
 		for e, v := range g.latent[layer] {
 			perTok[e] = v + g.rng.NormMeanStd(0, g.opts.TokenNoise)
 		}
-		for _, e := range topKIndices(perTok, g.cfg.ActivatedExperts) {
+		for _, e := range g.topK(perTok, g.cfg.ActivatedExperts) {
 			loads[e]++
 		}
 	}
@@ -273,10 +293,24 @@ func softmax64InPlace(xs []float64) {
 	}
 }
 
-func topKIndices(scores []float64, k int) []int {
-	f32 := make([]float32, len(scores))
+// topK returns the indices of the k highest scores in descending order,
+// ranked after narrowing to float32 (the gate kernels' precision, so
+// scores equal in float32 tie and break toward the lower index). The
+// result lives in the generator's scratch and is valid only until the
+// next call.
+func (g *Generator) topK(scores []float64, k int) []int {
+	g.top = tensor.TopKInto(g.top, g.narrow(scores), k)
+	return g.top
+}
+
+// narrow converts scores to float32 in the generator's scratch.
+func (g *Generator) narrow(scores []float64) []float32 {
+	if cap(g.f32) < len(scores) {
+		g.f32 = make([]float32, len(scores))
+	}
+	f32 := g.f32[:len(scores)]
 	for i, v := range scores {
 		f32[i] = float32(v)
 	}
-	return tensor.TopK(f32, k)
+	return f32
 }
