@@ -6,7 +6,7 @@
 //	hybrimoe run <id> [flags]     # run one experiment (fig3a..fig9, table3, ...)
 //	hybrimoe all [flags]          # run every experiment
 //	hybrimoe demo [flags]         # one decode run with a Gantt timeline
-//	hybrimoe serve [flags]        # stream a mixed request workload through a Session
+//	hybrimoe serve [flags]        # stream a mixed request workload through a replica fleet
 //
 // Flags:
 //
@@ -23,7 +23,8 @@
 //	-reqsched NAME      request scheduler: fcfs, round-robin, sjf, edf
 //	-batch NAME         batch former: none, greedy, phase-aware
 //	-batch-budget N     token budget per merged iteration
-//	-slo-ttft-p95 SECS  p95 TTFT target; >0 enables SLO admission control
+//	-slo-ttft-p95 SECS  p95 TTFT target; >0 enables SLO admission control (in the
+//	                    session on a single box, at the fleet door otherwise)
 //	-slo-tbt-p95 SECS   p95 TBT target; >0 enables SLO admission control
 //	-deadline SECS      per-token deadline budget; >0 stamps arrival-relative deadlines
 //	-arrivals NAME      open-loop arrival process: none, poisson, uniform, bursty
@@ -38,6 +39,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -53,13 +55,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "hybrimoe:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one subcommand, writing its report to stdout.
+func run(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
 		usage()
 		return fmt.Errorf("missing subcommand")
@@ -77,7 +80,7 @@ func run(args []string) error {
 	switch cmd {
 	case "list":
 		for _, e := range exp.Registry() {
-			fmt.Printf("%-14s %s\n", e.ID, e.Desc)
+			fmt.Fprintf(stdout, "%-14s %s\n", e.ID, e.Desc)
 		}
 		return nil
 
@@ -96,7 +99,7 @@ func run(args []string) error {
 		p := params(*seed, *steps, *quick || *short)
 		p.Workers = *workers
 		p.ClusterWorkers = *clusterWorkers
-		e.Run(p).Render(os.Stdout)
+		e.Run(p).Render(stdout)
 		return nil
 
 	case "all":
@@ -106,7 +109,7 @@ func run(args []string) error {
 		p := params(*seed, *steps, *quick || *short)
 		p.Workers = *workers
 		p.ClusterWorkers = *clusterWorkers
-		exp.RunAll(os.Stdout, p)
+		exp.RunAll(stdout, p)
 		return nil
 
 	case "demo":
@@ -125,12 +128,12 @@ func run(args []string) error {
 			return err
 		}
 		res := e.RunDecode(*steps)
-		fmt.Printf("%s decode, %d steps, %.0f%% cache: mean TBT %.4fs, hit rate %.1f%%\n",
+		fmt.Fprintf(stdout, "%s decode, %d steps, %.0f%% cache: mean TBT %.4fs, hit rate %.1f%%\n",
 			cfg.Name, *steps, *ratio*100, res.Mean(), 100*res.Stats.CacheHitRate)
-		fmt.Printf("ops: %d CPU, %d GPU, %d demand transfers, %d prefetches\n",
+		fmt.Fprintf(stdout, "ops: %d CPU, %d GPU, %d demand transfers, %d prefetches\n",
 			res.Stats.CPUOps, res.Stats.GPUOps, res.Stats.DemandTransfers, res.Stats.PrefetchTransfers)
-		fmt.Println("\nExecution timeline (whole run):")
-		fmt.Print(e.Gantt(100))
+		fmt.Fprintln(stdout, "\nExecution timeline (whole run):")
+		fmt.Fprint(stdout, e.Gantt(100))
 		return nil
 
 	case "serve":
@@ -172,7 +175,7 @@ func run(args []string) error {
 			replicas: *replicas, router: *router, fail: *fail, scalePlan: *scalePlan,
 			pools: *pools, clusterWorkers: *clusterWorkers,
 		}
-		return serve(sc)
+		return serve(sc, stdout)
 
 	default:
 		usage()
@@ -239,11 +242,15 @@ func serveRequests(sc serveConfig) ([]workload.Request, error) {
 
 // serve streams a request workload — sampled from the mixed corpora,
 // optionally under an open-loop arrival process, or replayed from a
-// JSONL trace — through the engine's Session loop under the selected
-// request scheduler and, when SLO targets are set, admission control,
-// and reports queue-inclusive TTFT and TBT percentiles plus
-// shed/deferral/violation accounting from the step events.
-func serve(sc serveConfig) error {
+// JSONL trace — through a cluster of replica stacks, each a full engine
+// built from the same serve knobs (model, GPUs, schedulers, batching)
+// with its own derived seed, and reports every event plus
+// queue-inclusive TTFT and TBT percentiles and shed/deferral/violation
+// accounting. A single box is a 1-replica fleet whose SLO admission
+// stays in its session; fleets (-replicas > 1, -fail, -scale-plan,
+// -pools) move admission to the fleet door, where requests are shed
+// against fleet-aggregate quantiles before any replica queues them.
+func serve(sc serveConfig, w io.Writer) error {
 	if sc.requests < 1 {
 		return fmt.Errorf("-requests %d must be at least 1", sc.requests)
 	}
@@ -265,6 +272,18 @@ func serve(sc serveConfig) error {
 	if sc.clusterWorkers < 1 {
 		return fmt.Errorf("-cluster-workers %d must be at least 1", sc.clusterWorkers)
 	}
+	failures, err := cluster.ParseFailures(sc.fail)
+	if err != nil {
+		return err
+	}
+	scale, err := cluster.ParseScalePlan(sc.scalePlan)
+	if err != nil {
+		return err
+	}
+	poolSpec, err := cluster.ParsePools(sc.pools)
+	if err != nil {
+		return err
+	}
 	reqs, err := serveRequests(sc)
 	if err != nil {
 		return err
@@ -285,133 +304,12 @@ func serve(sc serveConfig) error {
 			return err
 		}
 	}
-	if sc.replicas > 1 || sc.fail != "" || sc.scalePlan != "" || sc.pools != "" {
-		// Lifecycle and disaggregation knobs only exist at fleet scope;
-		// a 1-replica fleet with churn is still a fleet.
-		return serveFleet(sc, reqs)
-	}
-	opts := []engine.Option{
-		engine.WithCacheRatio(sc.ratio),
-		engine.WithSeed(sc.seed),
-		engine.WithRequestScheduler(sc.reqSched),
-		engine.WithBatchPolicy(sc.batch, sc.batchBudget),
-	}
+	// -pools P:D implies the fleet size; -replicas may still grow it (the
+	// surplus serves mixed). Lifecycle and disaggregation knobs only
+	// exist at fleet scope: a 1-replica fleet with churn is still a fleet.
+	replicas := max(sc.replicas, poolSpec.Prefill+poolSpec.Decode)
+	single := sc.replicas == 1 && sc.fail == "" && sc.scalePlan == "" && sc.pools == ""
 	admitting := sc.sloTTFT > 0 || sc.sloTBT > 0
-	if admitting {
-		opts = append(opts, engine.WithAdmission(engine.NewSLOAdmission(sc.sloTTFT, sc.sloTBT)))
-	}
-	fw := engine.HybriMoEFramework()
-	if sc.sched != "" {
-		fw.Sched = sc.sched
-	}
-	e, err := engine.New(sc.cfg, hw.MultiA6000Platform(sc.gpus), fw, opts...)
-	if err != nil {
-		return err
-	}
-	s := e.NewSession(engine.WithMaxConcurrent(sc.concurrent))
-	s.Submit(reqs...)
-
-	fmt.Printf("serving %d requests on %s (%.0f%% cache, ≤%d concurrent, %s scheduling",
-		len(reqs), sc.cfg.Name, sc.ratio*100, sc.concurrent, sc.reqSched)
-	if sc.gpus > 1 {
-		fmt.Printf(", %d GPUs via %s", sc.gpus, sc.sched)
-	}
-	if sc.traceIn != "" {
-		fmt.Printf(", replaying %s", sc.traceIn)
-	} else if sc.arrivals != "none" {
-		fmt.Printf(", %s arrivals at %.3g req/s", sc.arrivals, sc.rate)
-	}
-	if sc.batch != "none" {
-		fmt.Printf(", %s batching ≤%d tokens", sc.batch, sc.batchBudget)
-	}
-	if admitting {
-		fmt.Printf(", SLO p95 TTFT %.3gs / TBT %.3gs", sc.sloTTFT, sc.sloTBT)
-	}
-	fmt.Print(")\n\n")
-	var ttfts, tbts []float64
-	violations := 0
-	s.Run(func(ev engine.StepEvent) {
-		switch ev.Phase {
-		case engine.PhasePrefill:
-			// TTFT is queue-inclusive: arrival → first token. With no
-			// arrival stamps Queued is 0 and this is the forward alone.
-			ttfts = append(ttfts, ev.Queued+ev.Latency)
-			queued := ""
-			if ev.Queued > 0 {
-				queued = fmt.Sprintf(" (queued %.4fs)", ev.Queued)
-			}
-			fmt.Printf("  t=%7.3fs req %2d prefill %4d tokens  TTFT %.4fs%s\n",
-				ev.End, ev.Request, ev.Tokens, ev.Queued+ev.Latency, queued)
-		case engine.PhaseDecode:
-			tbts = append(tbts, ev.Latency)
-		case engine.PhaseShed:
-			fmt.Printf("  t=%7.3fs req %2d SHED by admission control\n", ev.End, ev.Request)
-			return
-		case engine.PhaseDeferred:
-			fmt.Printf("  t=%7.3fs req %2d deferred by admission control\n", ev.End, ev.Request)
-			return
-		}
-		// Done can ride a decode event or, for decode-free requests, the
-		// prefill itself.
-		if ev.Done {
-			late := ""
-			if ev.Deadline > 0 && ev.End > ev.Deadline {
-				violations++
-				late = fmt.Sprintf("  MISSED deadline %.3fs", ev.Deadline)
-			}
-			steps := ev.Index + 1
-			if ev.Phase == engine.PhasePrefill {
-				steps = 0
-			}
-			fmt.Printf("  t=%7.3fs req %2d done after %d decode steps%s\n",
-				ev.End, ev.Request, steps, late)
-		}
-	})
-
-	fmt.Printf("\nsteps: %d   cache hit rate: %.1f%%\n", s.Steps(), 100*e.Caches().HitRate())
-	if sc.batch != "none" {
-		computeSteps := len(ttfts) + len(tbts)
-		meanBatch := 0.0
-		if s.Batches() > 0 {
-			meanBatch = float64(computeSteps) / float64(s.Batches())
-		}
-		fmt.Printf("batching: %d iterations for %d request-steps (mean batch %.2f)\n",
-			s.Batches(), computeSteps, meanBatch)
-	}
-	if admitting || sc.deadline > 0 {
-		fmt.Printf("admission: %d shed, %d deferral verdicts   deadline violations: %d\n",
-			s.Shed(), s.Deferred(), violations)
-	}
-	fmt.Printf("TTFT  %s\n", report.Latencies(ttfts))
-	fmt.Printf("TBT   %s\n", report.Latencies(tbts))
-	return nil
-}
-
-// serveFleet streams the prepared request sequence through a
-// multi-replica cluster: each replica is a full engine stack built from
-// the same serve knobs (model, GPUs, schedulers, batching) with its own
-// derived seed, the named router picks a replica per arrival, and SLO
-// targets move admission to the fleet door — requests are shed against
-// fleet-aggregate quantiles before any replica queues them.
-func serveFleet(sc serveConfig, reqs []workload.Request) error {
-	failures, err := cluster.ParseFailures(sc.fail)
-	if err != nil {
-		return err
-	}
-	scale, err := cluster.ParseScalePlan(sc.scalePlan)
-	if err != nil {
-		return err
-	}
-	poolSpec, err := cluster.ParsePools(sc.pools)
-	if err != nil {
-		return err
-	}
-	replicas := sc.replicas
-	if n := poolSpec.Prefill + poolSpec.Decode; n > replicas {
-		// -pools P:D implies the fleet size; -replicas may still grow it
-		// (the surplus serves mixed).
-		replicas = n
-	}
 	fw := engine.HybriMoEFramework()
 	if sc.sched != "" {
 		fw.Sched = sc.sched
@@ -422,6 +320,9 @@ func serveFleet(sc serveConfig, reqs []workload.Request) error {
 			engine.WithSeed(cluster.ReplicaSeed(sc.seed, i)),
 			engine.WithRequestScheduler(sc.reqSched),
 			engine.WithBatchPolicy(sc.batch, sc.batchBudget),
+		}
+		if admitting && single {
+			eopts = append(eopts, engine.WithAdmission(engine.NewSLOAdmission(sc.sloTTFT, sc.sloTBT)))
 		}
 		if i >= replicas {
 			// Scale-up replicas join with cold caches: elasticity pays
@@ -443,8 +344,7 @@ func serveFleet(sc serveConfig, reqs []workload.Request) error {
 	if sc.clusterWorkers > 1 {
 		opts = append(opts, cluster.WithWorkers(sc.clusterWorkers))
 	}
-	admitting := sc.sloTTFT > 0 || sc.sloTBT > 0
-	if admitting {
+	if admitting && !single {
 		opts = append(opts, cluster.WithAdmission(engine.NewSLOAdmission(sc.sloTTFT, sc.sloTBT)))
 	}
 	for _, f := range failures {
@@ -457,119 +357,136 @@ func serveFleet(sc serveConfig, reqs []workload.Request) error {
 	if err != nil {
 		return err
 	}
-	c.Submit(reqs...)
 
-	fmt.Printf("serving %d requests across %d %s replicas (%s routing, %.0f%% cache, ≤%d concurrent each",
+	fmt.Fprintf(w, "serving %d requests across %d %s replicas (%s routing, %.0f%% cache, ≤%d concurrent each",
 		len(reqs), replicas, sc.cfg.Name, c.RouterName(), sc.ratio*100, sc.concurrent)
 	if poolSpec.Pooled() {
-		fmt.Printf(", %s pools", poolSpec)
+		fmt.Fprintf(w, ", %s pools", poolSpec)
+	}
+	if sc.reqSched != "round-robin" {
+		fmt.Fprintf(w, ", %s scheduling", sc.reqSched)
 	}
 	if sc.gpus > 1 {
-		fmt.Printf(", %d GPUs via %s", sc.gpus, sc.sched)
+		fmt.Fprintf(w, ", %d GPUs via %s", sc.gpus, sc.sched)
 	}
 	if sc.traceIn != "" {
-		fmt.Printf(", replaying %s", sc.traceIn)
+		fmt.Fprintf(w, ", replaying %s", sc.traceIn)
 	} else if sc.arrivals != "none" {
-		fmt.Printf(", %s arrivals at %.3g req/s", sc.arrivals, sc.rate)
+		fmt.Fprintf(w, ", %s arrivals at %.3g req/s", sc.arrivals, sc.rate)
 	}
 	if sc.batch != "none" {
-		fmt.Printf(", %s batching ≤%d tokens", sc.batch, sc.batchBudget)
+		fmt.Fprintf(w, ", %s batching ≤%d tokens", sc.batch, sc.batchBudget)
 	}
 	if admitting {
-		fmt.Printf(", fleet SLO p95 TTFT %.3gs / TBT %.3gs", sc.sloTTFT, sc.sloTBT)
+		scope := "fleet "
+		if single {
+			scope = "session "
+		}
+		fmt.Fprintf(w, ", %sSLO p95 TTFT %.3gs / TBT %.3gs", scope, sc.sloTTFT, sc.sloTBT)
 	}
 	if sc.fail != "" {
-		fmt.Printf(", failures %s", sc.fail)
+		fmt.Fprintf(w, ", failures %s", sc.fail)
 	}
 	if sc.scalePlan != "" {
-		fmt.Printf(", scale plan %s", sc.scalePlan)
+		fmt.Fprintf(w, ", scale plan %s", sc.scalePlan)
 	}
-	fmt.Print(")\n\n")
+	fmt.Fprint(w, ")\n\n")
 
-	var ttfts, tbts []float64
-	violations := 0
-	c.Run(func(ev cluster.Event) {
-		switch ev.Kind {
-		case cluster.EventReplicaWarming:
-			fmt.Printf("  t=%7.3fs r%d JOINED cold, warming\n", ev.End, ev.Replica)
-			return
-		case cluster.EventReplicaDraining:
-			fmt.Printf("  t=%7.3fs r%d DRAINING, no new dispatches\n", ev.End, ev.Replica)
-			return
-		case cluster.EventReplicaDead:
-			if ev.Tokens > 0 {
-				fmt.Printf("  t=%7.3fs r%d DEAD, %d in-flight requests lost\n", ev.End, ev.Replica, ev.Tokens)
-			} else {
-				fmt.Printf("  t=%7.3fs r%d DEAD\n", ev.End, ev.Replica)
-			}
-			return
-		case cluster.EventRerouted:
-			fmt.Printf("  t=%7.3fs    req %2d RE-ROUTED off dead r%d (arrived %.3fs)\n",
-				ev.End, ev.Request, ev.Replica, ev.Arrival)
-			return
-		case cluster.EventHandoff:
-			fmt.Printf("  t=%7.3fs r%d req %2d HANDOFF landed: %d experts (%d warm), xfer %.4fs\n",
-				ev.End, ev.Replica, ev.Request, ev.Tokens, ev.Hits, ev.Latency)
-			return
-		}
-		switch ev.Phase {
-		case engine.PhasePrefill:
-			ttfts = append(ttfts, ev.Queued+ev.Latency)
-			queued := ""
-			if ev.Queued > 0 {
-				queued = fmt.Sprintf(" (queued %.4fs)", ev.Queued)
-			}
-			fmt.Printf("  t=%7.3fs r%d req %2d prefill %4d tokens  TTFT %.4fs%s\n",
-				ev.End, ev.Replica, ev.Request, ev.Tokens, ev.Queued+ev.Latency, queued)
-		case engine.PhaseDecode:
-			tbts = append(tbts, ev.Latency)
-		case engine.PhaseShed:
-			fmt.Printf("  t=%7.3fs    req %2d SHED at the fleet door\n", ev.End, ev.Request)
-			return
-		case engine.PhaseDeferred:
-			fmt.Printf("  t=%7.3fs    req %2d deferred at the fleet door\n", ev.End, ev.Request)
-			return
-		}
-		if ev.Done {
-			late := ""
-			if ev.Deadline > 0 && ev.End > ev.Deadline {
-				violations++
-				late = fmt.Sprintf("  MISSED deadline %.3fs", ev.Deadline)
-			}
-			steps := ev.Index + 1
-			if ev.Phase == engine.PhasePrefill {
-				steps = 0
-			}
-			fmt.Printf("  t=%7.3fs r%d req %2d done after %d decode steps%s\n",
-				ev.End, ev.Replica, ev.Request, steps, late)
-		}
-	})
+	t := exp.Drive(c, reqs, func(ev cluster.Event) { printEvent(w, ev) })
 
-	fmt.Printf("\nsteps: %d   routed per replica: %v\n", c.Steps(), c.Routed())
+	fmt.Fprintf(w, "\nsteps: %d   routed per replica: %v\n", c.Steps(), t.Routed)
 	for i := 0; i < c.Replicas(); i++ {
 		role := ""
 		if c.Pools().Pooled() {
 			role = " " + c.Role(i).String()
 		}
-		fmt.Printf("  replica %d: %-8s%s clock %.3fs, cache hit rate %.1f%%\n",
-			i, c.State(i), role, c.Engine(i).Clock(), 100*c.Engine(i).Caches().HitRate())
+		fmt.Fprintf(w, "  replica %d: %-8s%s clock %.3fs, cache hit rate %.1f%%\n",
+			i, c.State(i), role, c.Engine(i).Clock(), 100*t.HitRate[i])
 	}
-	if c.Handoffs() > 0 {
-		warm, total := c.MigratedExperts()
-		fmt.Printf("disaggregation: %d prefill→decode handoffs, %d/%d migrated experts landed warm\n",
-			c.Handoffs(), warm, total)
+	if sc.batch != "none" {
+		fmt.Fprintf(w, "batching: %d iterations for %d request-steps (mean batch %.2f)\n",
+			t.Iterations(), t.RequestSteps, t.MeanBatch())
 	}
-	if c.Rerouted() > 0 || c.Lost() > 0 {
-		fmt.Printf("churn: %d requests re-routed off dead replicas, %d in-flight lost\n",
-			c.Rerouted(), c.Lost())
+	if t.Handoffs > 0 {
+		fmt.Fprintf(w, "disaggregation: %d prefill→decode handoffs, %d/%d migrated experts landed warm\n",
+			t.Handoffs, t.WarmExperts, t.MigratedExperts)
+	}
+	if t.Rerouted > 0 || t.Lost > 0 {
+		fmt.Fprintf(w, "churn: %d requests re-routed off dead replicas, %d in-flight lost\n",
+			t.Rerouted, t.Lost)
 	}
 	if admitting || sc.deadline > 0 {
-		fmt.Printf("admission: %d shed, %d deferral verdicts   deadline violations: %d\n",
-			c.Shed(), c.Deferred(), violations)
+		fmt.Fprintf(w, "admission: %d shed, %d deferral verdicts   deadline violations: %d\n",
+			t.Shed, t.Deferred, t.Violated)
 	}
-	fmt.Printf("TTFT  %s\n", report.Latencies(ttfts))
-	fmt.Printf("TBT   %s\n", report.Latencies(tbts))
+	fmt.Fprintf(w, "TTFT  %s\n", report.Latencies(t.TTFT))
+	fmt.Fprintf(w, "TBT   %s\n", report.Latencies(t.TBT))
 	return nil
+}
+
+// printEvent writes one transcript line for a serving event. Replica
+// events carry an rN tag; fleet-door admission records carry none.
+func printEvent(w io.Writer, ev cluster.Event) {
+	switch ev.Kind {
+	case cluster.EventReplicaWarming:
+		fmt.Fprintf(w, "  t=%7.3fs r%d JOINED cold, warming\n", ev.End, ev.Replica)
+		return
+	case cluster.EventReplicaDraining:
+		fmt.Fprintf(w, "  t=%7.3fs r%d DRAINING, no new dispatches\n", ev.End, ev.Replica)
+		return
+	case cluster.EventReplicaDead:
+		if ev.Tokens > 0 {
+			fmt.Fprintf(w, "  t=%7.3fs r%d DEAD, %d in-flight requests lost\n", ev.End, ev.Replica, ev.Tokens)
+		} else {
+			fmt.Fprintf(w, "  t=%7.3fs r%d DEAD\n", ev.End, ev.Replica)
+		}
+		return
+	case cluster.EventRerouted:
+		fmt.Fprintf(w, "  t=%7.3fs    req %2d RE-ROUTED off dead r%d (arrived %.3fs)\n",
+			ev.End, ev.Request, ev.Replica, ev.Arrival)
+		return
+	case cluster.EventHandoff:
+		fmt.Fprintf(w, "  t=%7.3fs r%d req %2d HANDOFF landed: %d experts (%d warm), xfer %.4fs\n",
+			ev.End, ev.Replica, ev.Request, ev.Tokens, ev.Hits, ev.Latency)
+		return
+	}
+	switch ev.Phase {
+	case engine.PhasePrefill:
+		// TTFT is queue-inclusive: arrival → first token. With no
+		// arrival stamps Queued is 0 and this is the forward alone.
+		queued := ""
+		if ev.Queued > 0 {
+			queued = fmt.Sprintf(" (queued %.4fs)", ev.Queued)
+		}
+		fmt.Fprintf(w, "  t=%7.3fs r%d req %2d prefill %4d tokens  TTFT %.4fs%s\n",
+			ev.End, ev.Replica, ev.Request, ev.Tokens, ev.Queued+ev.Latency, queued)
+	case engine.PhaseShed, engine.PhaseDeferred:
+		verdict := "SHED"
+		if ev.Phase == engine.PhaseDeferred {
+			verdict = "deferred"
+		}
+		if ev.Replica == cluster.FleetReplica {
+			fmt.Fprintf(w, "  t=%7.3fs    req %2d %s at the fleet door\n", ev.End, ev.Request, verdict)
+		} else {
+			fmt.Fprintf(w, "  t=%7.3fs r%d req %2d %s by admission control\n",
+				ev.End, ev.Replica, ev.Request, verdict)
+		}
+		return
+	}
+	// Done can ride a decode event or, for decode-free requests, the
+	// prefill itself.
+	if ev.Done {
+		late := ""
+		if ev.Deadline > 0 && ev.End > ev.Deadline {
+			late = fmt.Sprintf("  MISSED deadline %.3fs", ev.Deadline)
+		}
+		steps := ev.Index + 1
+		if ev.Phase == engine.PhasePrefill {
+			steps = 0
+		}
+		fmt.Fprintf(w, "  t=%7.3fs r%d req %2d done after %d decode steps%s\n",
+			ev.End, ev.Replica, ev.Request, steps, late)
+	}
 }
 
 func params(seed uint64, steps int, quick bool) exp.Params {

@@ -34,9 +34,6 @@ func NewMulti(shards ...*Cache) *Multi {
 	return &Multi{shards: shards}
 }
 
-// Devices reports the shard count (one per GPU).
-func (m *Multi) Devices() int { return len(m.shards) }
-
 // Shard exposes one device's cache for analysis and tests.
 func (m *Multi) Shard(d int) *Cache { return m.shards[d] }
 

@@ -597,11 +597,11 @@ func (c *Cluster) MigratedExperts() (warm, total int) {
 	return c.warmAdmitted, c.migratedExperts
 }
 
-// steppable reports whether replica i can run a compute step: alive,
-// not stalled, with work queued.
+// steppable reports whether replica i can run a step: alive, not
+// stalled, with a request pending or an event still queued for emission.
 func (c *Cluster) steppable(i int) bool {
 	r := c.replicas[i]
-	return r.state != StateDead && !r.stalled && r.ses.Pending() > 0
+	return r.state != StateDead && !r.stalled && r.ses.HasWork()
 }
 
 // frontier reports the minimum simulation clock across steppable
@@ -948,7 +948,7 @@ func (c *Cluster) Step() (ev Event, ok bool) {
 			r := c.replicas[pick]
 			sev, sok := r.ses.Step()
 			if !sok {
-				// Pending() > 0 guarantees the session has a step to run; a
+				// HasWork guarantees the session has a step to run; a
 				// refusal is an accounting bug, not a drained fleet.
 				panic(fmt.Sprintf("cluster: replica %d session refused to step with %d pending",
 					pick, r.ses.Pending()))

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"hybrimoe/internal/engine"
@@ -40,49 +41,110 @@ func burstRequests(seed uint64, n int, rate float64) []workload.Request {
 // TestClusterSingleReplicaMatchesSession is the acceptance pin: a
 // 1-replica cluster with no failures and no scale plan must be a
 // transparent wrapper — its event stream is identical, field for field,
-// to a bare Session run on an equal-seed engine with the same requests.
-// The fleet dispatch gate (arrival ≤ busy-clock frontier, idle-fleet
-// promotion) must reproduce exactly when the session's own admit pass
-// would first see each request, and the idle lifecycle layer must not
-// perturb a single event.
+// to a bare Session run on an equal-seed engine with the same requests,
+// whatever engine-level knobs the replica carries. The fleet dispatch
+// gate (arrival ≤ busy-clock frontier, idle-fleet promotion) must
+// reproduce exactly when the session's own admit pass would first see
+// each request, session admission must see the same queue, merged
+// batches must emit every trailing member, and the idle lifecycle layer
+// must not perturb a single event.
 func TestClusterSingleReplicaMatchesSession(t *testing.T) {
-	const seed, n, rate = 600, 14, 6.0
-
-	bare, err := buildReplica(t, seed)(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ses := bare.NewSession(engine.WithMaxConcurrent(3))
-	ses.Submit(burstRequests(seed, n, rate)...)
-	var want []engine.StepEvent
-	ses.Run(func(ev engine.StepEvent) { want = append(want, ev) })
-
-	c, err := New(WithBuilder(buildReplica(t, seed)), WithMaxConcurrent(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Submit(burstRequests(seed, n, rate)...)
-	var got []engine.StepEvent
-	c.Run(func(ev Event) {
-		if ev.Kind != EventStep {
-			t.Fatalf("churn-free cluster emitted lifecycle event: %+v", ev)
-		}
-		if ev.Replica != 0 {
-			t.Fatalf("single-replica cluster emitted replica %d event: %+v", ev.Replica, ev)
-		}
-		got = append(got, ev.StepEvent)
-	})
-
-	if len(got) != len(want) {
-		t.Fatalf("cluster emitted %d events, bare session %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("event %d diverged:\ncluster: %+v\nsession: %+v", i, got[i], want[i])
+	// The open-loop guard binds on queueing; closed-loop requests carry
+	// no arrival stamps, so only a target near the forward cost binds.
+	admissionAt := func(ttft float64) func() engine.Option {
+		return func() engine.Option {
+			return engine.WithAdmission(&engine.SLOAdmission{TTFTp95: ttft, MinSamples: 3, ShedFactor: 2})
 		}
 	}
-	if c.Pending() != 0 {
-		t.Fatalf("%d pending after drain", c.Pending())
+	admission := admissionAt(0.6)
+	greedy := func() engine.Option { return engine.WithBatchPolicy("greedy", 256) }
+	phased := func() engine.Option { return engine.WithBatchPolicy("phase-aware", 256) }
+	sched := func(name string) func() engine.Option {
+		return func() engine.Option { return engine.WithRequestScheduler(name) }
+	}
+	cases := []struct {
+		name       string
+		seed       uint64
+		n          int
+		rate       float64
+		concurrent int
+		opts       []func() engine.Option
+	}{
+		{"plain", 600, 14, 6, 3, nil},
+		{"admission-open-loop", 601, 16, 16, 3, []func() engine.Option{admission}},
+		{"admission-closed-loop", 602, 12, 0, 3, []func() engine.Option{admissionAt(0.12)}},
+		{"greedy", 603, 16, 12, 4, []func() engine.Option{greedy}},
+		{"phase-aware", 604, 16, 12, 4, []func() engine.Option{phased}},
+		{"fcfs", 605, 12, 8, 3, []func() engine.Option{sched("fcfs")}},
+		{"sjf", 606, 12, 8, 3, []func() engine.Option{sched("sjf")}},
+		{"edf", 607, 12, 8, 3, []func() engine.Option{sched("edf")}},
+		{"sjf+admission+greedy", 608, 20, 16, 4, []func() engine.Option{sched("sjf"), admission, greedy}},
+		{"edf+admission+phase-aware", 609, 20, 16, 4, []func() engine.Option{sched("edf"), admission, phased}},
+		{"fcfs+greedy", 610, 16, 12, 4, []func() engine.Option{sched("fcfs"), greedy}},
+		{"sjf+phase-aware", 2025, 24, 20, 8, []func() engine.Option{sched("sjf"), phased}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Every engine gets its own option values: an admission policy
+			// must not be shared between the two runs.
+			build := func(i int) (*engine.Engine, error) {
+				var extra []engine.Option
+				for _, o := range tc.opts {
+					extra = append(extra, o())
+				}
+				return buildReplica(t, tc.seed, extra...)(i)
+			}
+			reqs := func() []workload.Request {
+				reqs := burstRequests(tc.seed, tc.n, tc.rate)
+				workload.AssignDeadlines(reqs, 0, 0.05)
+				return reqs
+			}
+
+			bare, err := build(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ses := bare.NewSession(engine.WithMaxConcurrent(tc.concurrent))
+			ses.Submit(reqs()...)
+			var want []engine.StepEvent
+			ses.Run(func(ev engine.StepEvent) { want = append(want, ev) })
+
+			c, err := New(WithBuilder(build), WithMaxConcurrent(tc.concurrent))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Submit(reqs()...)
+			var got []engine.StepEvent
+			c.Run(func(ev Event) {
+				if ev.Kind != EventStep {
+					t.Fatalf("churn-free cluster emitted lifecycle event: %+v", ev)
+				}
+				if ev.Replica != 0 {
+					t.Fatalf("single-replica cluster emitted replica %d event: %+v", ev.Replica, ev)
+				}
+				got = append(got, ev.StepEvent)
+			})
+
+			phases := map[engine.Phase]int{}
+			for _, ev := range want {
+				phases[ev.Phase]++
+			}
+			if strings.Contains(tc.name, "admission") &&
+				phases[engine.PhaseShed]+phases[engine.PhaseDeferred] == 0 {
+				t.Fatalf("admission never returned a verdict: %v", phases)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("cluster emitted %d events, bare session %d", len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("event %d diverged:\ncluster: %+v\nsession: %+v", i, got[i], want[i])
+				}
+			}
+			if c.Pending() != 0 {
+				t.Fatalf("%d pending after drain", c.Pending())
+			}
+		})
 	}
 }
 

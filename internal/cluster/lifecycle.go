@@ -211,8 +211,8 @@ func (c *Cluster) scaleUp(n int, at float64) {
 
 // scaleDown moves the n highest-indexed live (Serving or Warming)
 // replicas to Draining: no new dispatches, existing queues run to
-// completion, and a drained replica retires to Dead. A replica that is
-// already idle retires immediately.
+// completion, and a drained replica retires to Dead. A replica with
+// nothing left to step retires immediately.
 func (c *Cluster) scaleDown(n int, at float64) {
 	for i := len(c.replicas) - 1; i >= 0 && n > 0; i-- {
 		r := c.replicas[i]
@@ -224,7 +224,7 @@ func (c *Cluster) scaleDown(n int, at float64) {
 		c.queue = append(c.queue, Event{Replica: i, Kind: EventReplicaDraining, StepEvent: engine.StepEvent{
 			Start: at, End: at,
 		}})
-		if r.ses.Pending() == 0 {
+		if !r.ses.HasWork() {
 			r.state = StateDead
 			c.queue = append(c.queue, Event{Replica: i, Kind: EventReplicaDead, StepEvent: engine.StepEvent{
 				Start: at, End: at,
@@ -234,10 +234,10 @@ func (c *Cluster) scaleDown(n int, at float64) {
 }
 
 // retireDrained completes the Draining → Dead transition after replica
-// i's step emptied its queue.
+// i's step emptied its queue and emitted its last event.
 func (c *Cluster) retireDrained(i int) {
 	r := c.replicas[i]
-	if r.state != StateDraining || r.ses.Pending() != 0 {
+	if r.state != StateDraining || r.ses.HasWork() {
 		return
 	}
 	r.state = StateDead

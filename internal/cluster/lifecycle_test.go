@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -309,6 +310,36 @@ func TestClusterChurnDeterminism(t *testing.T) {
 	}
 	if c := run(741); reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical churn streams; detection jitter not seeded")
+	}
+}
+
+// TestClusterBatchedChurnConserves pins request conservation across
+// failures on a batching fleet: a merged batch finishing several
+// requests together leaves their events queued on the replica, and the
+// fleet must keep stepping (or retiring) that replica until they drain
+// — on the serial path and in parallel windows alike.
+func TestClusterBatchedChurnConserves(t *testing.T) {
+	reqs := burstRequests(780, 24, 16)
+	for _, kind := range []FailureKind{FailStall, FailDeath} {
+		for _, at := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%v@%v/workers=%d", kind, at, workers), func(t *testing.T) {
+					c, err := New(
+						WithReplicas(3), WithRouter("round-robin"), WithSeed(780),
+						WithBuilder(buildReplica(t, 780, engine.WithBatchPolicy("greedy", 256))),
+						WithMaxConcurrent(4),
+						WithFailure(1, at, kind),
+						WithWorkers(workers))
+					if err != nil {
+						t.Fatal(err)
+					}
+					c.Submit(reqs...)
+					var evs []Event
+					c.Run(func(ev Event) { evs = append(evs, ev) })
+					checkConservation(t, c, evs, len(reqs))
+				})
+			}
+		}
 	}
 }
 

@@ -105,7 +105,7 @@ func (c *Cluster) advanceWindow() bool {
 func (c *Cluster) runReplica(i int, h float64) {
 	r := c.replicas[i]
 	r.runEvs, r.runClocks = r.ses.StepUntilClocked(h, r.runEvs[:0], r.runClocks[:0])
-	if r.eng.Clock() < h && r.ses.Pending() > 0 {
+	if r.eng.Clock() < h && r.ses.HasWork() {
 		panic(fmt.Sprintf("cluster: replica %d session refused to step with %d pending",
 			i, r.ses.Pending()))
 	}
@@ -148,7 +148,7 @@ func (c *Cluster) mergeWindow(cands []int) {
 		c.run = append(c.run, Event{Replica: bi, StepEvent: ev})
 		if cursors[best] == len(r.runEvs) {
 			r.lease = r.eng.Clock()
-			if r.state == StateDraining && r.ses.Pending() == 0 {
+			if r.state == StateDraining && !r.ses.HasWork() {
 				r.state = StateDead
 				c.run = append(c.run, Event{Replica: bi, Kind: EventReplicaDead, StepEvent: engine.StepEvent{
 					Start: r.eng.Clock(), End: r.eng.Clock(),

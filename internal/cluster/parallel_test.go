@@ -23,8 +23,10 @@ type parallelScenario struct {
 // parallelScenarios spans the coupling surfaces a parallel window must
 // not perturb: plain routing, stateful affinity routing, fleet
 // admission (shed/defer + the observe-fed quantiles), failure churn
-// with re-routes, elastic scale-down draining, and a disaggregated
-// fleet (which must silently fall back to the serial path).
+// with re-routes, elastic scale-down draining, merged batches (whose
+// trailing members are still queued for emission when the batch's
+// requests have all finished), and a disaggregated fleet (which must
+// silently fall back to the serial path).
 func parallelScenarios() []parallelScenario {
 	return []parallelScenario{
 		{
@@ -82,6 +84,17 @@ func parallelScenarios() []parallelScenario {
 			reqs: func() []workload.Request { return burstRequests(930, 20, 12) },
 		},
 		{
+			name: "batched-greedy",
+			opts: func(t *testing.T) []Option {
+				return []Option{
+					WithReplicas(3), WithRouter("affinity"), WithSeed(970),
+					WithBuilder(buildReplica(t, 970, engine.WithBatchPolicy("greedy", 256))),
+					WithMaxConcurrent(4),
+				}
+			},
+			reqs: func() []workload.Request { return burstRequests(970, 12, 0) },
+		},
+		{
 			name: "pooled-1-2",
 			opts: func(t *testing.T) []Option {
 				return []Option{
@@ -95,8 +108,9 @@ func parallelScenarios() []parallelScenario {
 	}
 }
 
-// runScenario drains one freshly-built cluster and returns its
-// serialised event log plus the counters a divergent merge would skew.
+// runScenario drains one freshly-built cluster, checks that every
+// offered request is accounted for, and returns its serialised event
+// log plus the counters a divergent merge would skew.
 func runScenario(t *testing.T, sc parallelScenario, workers int) ([]byte, map[string]int) {
 	t.Helper()
 	opts := append(sc.opts(t), WithWorkers(workers))
@@ -104,12 +118,14 @@ func runScenario(t *testing.T, sc parallelScenario, workers int) ([]byte, map[st
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Submit(sc.reqs()...)
+	reqs := sc.reqs()
+	c.Submit(reqs...)
 	var events []Event
 	c.Run(func(ev Event) { events = append(events, ev) })
 	if len(events) == 0 {
 		t.Fatalf("%s emitted no events", sc.name)
 	}
+	checkConservation(t, c, events, len(reqs))
 	var buf bytes.Buffer
 	if err := WriteEventLog(&buf, events); err != nil {
 		t.Fatal(err)
@@ -121,6 +137,28 @@ func runScenario(t *testing.T, sc parallelScenario, workers int) ([]byte, map[st
 		"rerouted": c.Rerouted(),
 		"lost":     c.Lost(),
 		"handoffs": c.Handoffs(),
+	}
+}
+
+// checkConservation asserts that every offered request ends exactly one
+// way: a Done compute event, a shed (at the fleet door or by a replica
+// session), or lost with a dead replica. A driver that stops stepping a
+// replica before its queued emissions drain breaks the sum.
+func checkConservation(t *testing.T, c *Cluster, events []Event, offered int) {
+	t.Helper()
+	done := 0
+	for _, ev := range events {
+		if ev.Kind == EventStep && ev.Done &&
+			(ev.Phase == engine.PhasePrefill || ev.Phase == engine.PhaseDecode) {
+			done++
+		}
+	}
+	shed := c.Shed()
+	for i := 0; i < c.Replicas(); i++ {
+		shed += c.Session(i).Shed()
+	}
+	if done+shed+c.Lost() != offered {
+		t.Fatalf("done %d + shed %d + lost %d != offered %d", done, shed, c.Lost(), offered)
 	}
 }
 

@@ -95,9 +95,6 @@ func TestDualGPUSessionUsesBothDevices(t *testing.T) {
 		t.Fatalf("expert-parallel on two GPUs left a device idle: %v", busy)
 	}
 	caches := e.Caches()
-	if caches.Devices() != 2 {
-		t.Fatalf("cache devices = %d, want 2", caches.Devices())
-	}
 	if caches.Shard(0).Len() == 0 || caches.Shard(1).Len() == 0 {
 		t.Fatalf("warm start left a shard empty: %d/%d",
 			caches.Shard(0).Len(), caches.Shard(1).Len())

@@ -188,11 +188,6 @@ const (
 	// stamped at the clock instant it was produced and drained one per
 	// Step call.
 	evEmit
-	// evPrefetchDone marks the instant an iteration's in-flight
-	// prefetch transfers complete on the link frontiers — bookkeeping
-	// only: popping one emits nothing and (being stamped off the link
-	// timeline, not the compute clock) never moves an observable stamp.
-	evPrefetchDone
 )
 
 // Session is the streaming run loop, driven by a discrete-event
@@ -221,9 +216,8 @@ type Session struct {
 	// StepEvent.Batch carries the ordinal.
 	batches int
 	// events is the unified timeline: scheduled arrivals (stamped at
-	// the request's arrival), queued emissions (stamped at the clock
-	// when produced) and prefetch-completion markers, popped in
-	// (stamp, push order) order.
+	// the request's arrival) and queued emissions (stamped at the clock
+	// when produced), popped in (stamp, push order) order.
 	events sim.Queue[sessionEvent]
 	// arrived holds requests whose arrival event has fired, kept in
 	// submission order — the admission queue. Admission is order-
@@ -258,10 +252,6 @@ type Session struct {
 	batchMembers []*sessionRequest
 	batchTokens  []int
 	batchEvents  []StepEvent
-	// untilEvents and untilClocks back StepUntil's batched return; valid
-	// until the next StepUntil call.
-	untilEvents []StepEvent
-	untilClocks []float64
 	// arena batches the per-event device-vector allocations; see devArena.
 	arena devArena
 }
@@ -398,6 +388,16 @@ func (s *Session) Pending() int {
 	return s.future + len(s.arrived) + len(s.active) + len(s.exported)
 }
 
+// HasWork reports whether Step has anything left to return: a pending
+// request, or an emission still queued — the trailing members of a
+// merged batch, or an admission record. A batch that finishes its last
+// requests together leaves Pending at zero with their events unread, so
+// a driver deciding whether to step (or retire) a session asks HasWork,
+// not Pending.
+func (s *Session) HasWork() bool {
+	return s.Pending() > 0 || s.events.Len() > 0
+}
+
 // Reclaim removes and returns every submitted request that has not yet
 // run a compute step — scheduled arrivals still on the timeline, the
 // arrived admission queue (deferred requests included), and admitted
@@ -495,13 +495,6 @@ func (s *Session) Shed() int { return s.shed }
 // n times; its PhaseDeferred event is emitted once).
 func (s *Session) Deferred() int { return s.deferred }
 
-// Scheduler reports the request-scheduling policy driving this session.
-func (s *Session) Scheduler() string { return s.sched.Name() }
-
-// Batcher reports the batch-forming policy merging this session's
-// iterations ("none" when unbatched).
-func (s *Session) Batcher() string { return s.batch.Name() }
-
 // Batches reports how many engine iterations the session has run (a
 // merged multi-request iteration counts once; its events all carry the
 // same Batch ordinal). Steps()/Batches() exceeds 1 exactly when
@@ -552,35 +545,10 @@ func (s *Session) pushEmit(ev StepEvent) {
 
 // hasEmit reports whether an emission is queued. Emissions are stamped
 // at (a past value of) the clock and fired arrivals are drained through
-// it, so a queued emission is always the timeline's minimum — modulo
-// prefetch markers, which order between but emit nothing.
+// it, so a queued emission is always the timeline's minimum.
 func (s *Session) hasEmit() bool {
-	for {
-		_, e, ok := s.events.PeekMin()
-		if ok && e.kind == evPrefetchDone {
-			s.events.PopMin()
-			continue
-		}
-		return ok && e.kind == evEmit
-	}
-}
-
-// notePrefetchHorizon schedules a completion marker for transfers the
-// iteration just issued that are still in flight on a link past the
-// compute clock — the prefetch-completion event kind. It carries no
-// emission; it exists so the timeline is a complete account of the
-// simulated machine's future (arrivals, iteration completions,
-// transfer completions).
-func (s *Session) notePrefetchHorizon() {
-	var frontier float64
-	for _, busy := range s.e.linkBusy {
-		if busy > frontier {
-			frontier = busy
-		}
-	}
-	if frontier > s.e.clock {
-		s.events.Push(frontier, sessionEvent{kind: evPrefetchDone})
-	}
+	_, e, ok := s.events.PeekMin()
+	return ok && e.kind == evEmit
 }
 
 // admit moves arrived requests into the active set up to the
@@ -670,8 +638,8 @@ func (s *Session) schedView() []reqsched.Request {
 // finished or been shed.
 func (s *Session) Step() (ev StepEvent, ok bool) {
 	// Drain the timeline up to the clock: emissions return (one per
-	// call), arrivals fire into the admission queue, prefetch markers
-	// are retired. Stamp order interleaves them correctly — an arrival
+	// call), arrivals fire into the admission queue. Stamp order
+	// interleaves them correctly — an arrival
 	// during a drained batch's span fires before the batch's trailing
 	// emissions pop, and joining the admission queue early is
 	// unobservable until the admission pass below.
@@ -689,9 +657,7 @@ func (s *Session) Step() (ev StepEvent, ok bool) {
 			break
 		}
 		s.events.PopMin()
-		if e.kind == evArrival {
-			s.arrive(e.req)
-		}
+		s.arrive(e.req)
 	}
 	s.admit()
 	// Open-loop idle gap: the active set is drained and no admission
@@ -704,9 +670,6 @@ func (s *Session) Step() (ev StepEvent, ok bool) {
 		at, e, popped := s.events.PopMin()
 		if !popped {
 			break
-		}
-		if e.kind != evArrival {
-			continue
 		}
 		if at > s.e.clock {
 			s.e.clock = at
@@ -747,29 +710,19 @@ func (s *Session) Step() (ev StepEvent, ok bool) {
 	return events[0], true
 }
 
-// StepUntil advances the session until its clock reaches t (or the
-// session drains), returning every StepEvent emitted along the way in
-// Step order. It is exactly a Step loop — the event sequence is
-// byte-identical to calling Step repeatedly — batched so per-step
-// bookkeeping (scratch views, emission drains) amortizes and the caller
-// makes one call per horizon instead of one per event. A step whose
-// pre-step clock is below t may legitimately finish past it (an idle-gap
-// jump or a long iteration), matching what a serial Step driver
-// observes; the final clock is therefore >= t unless the session
-// drained first. The returned slice is scratch reused by the next
-// StepUntil call — copy it to retain events across calls.
-func (s *Session) StepUntil(t float64) []StepEvent {
-	s.untilEvents, s.untilClocks = s.StepUntilClocked(t, s.untilEvents[:0], s.untilClocks[:0])
-	return s.untilEvents
-}
-
-// StepUntilClocked is StepUntil recording, aligned with each returned
-// event, the session clock observed immediately before the Step call
-// that produced it — the merge key a lockstep fleet driver interleaves
-// replica runs by (the clock it would have seen when picking this
-// session to step). Events and clocks are appended to evs and clocks,
-// which are returned; pass reusable backing to keep the loop
-// allocation-free. Pre-step clocks are non-decreasing within one call.
+// StepUntilClocked advances the session until its clock reaches t (or
+// the session drains), appending every StepEvent emitted along the way
+// to evs in Step order and, aligned with each, the session clock
+// observed immediately before the Step call that produced it — the
+// merge key a lockstep fleet driver interleaves replica runs by (the
+// clock it would have seen when picking this session to step). It is
+// exactly a Step loop — the event sequence is byte-identical to calling
+// Step repeatedly — batched so the caller makes one call per horizon
+// instead of one per event. A step whose pre-step clock is below t may
+// legitimately finish past it (an idle-gap jump or a long iteration),
+// so the final clock is >= t unless the session drained first. Pass
+// reusable backing in evs and clocks to keep the loop allocation-free.
+// Pre-step clocks are non-decreasing within one call.
 func (s *Session) StepUntilClocked(t float64, evs []StepEvent, clocks []float64) ([]StepEvent, []float64) {
 	for s.e.clock < t {
 		pre := s.e.clock
@@ -938,7 +891,6 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 	link := busyDeltas(s.e.linkBusy, link0)
 	end := s.e.clock
 	s.e.stats.CacheHitRate = s.e.cache.HitRate()
-	s.notePrefetchHorizon()
 
 	// The assembly buffer is scratch too — Step copies events out by
 	// value (one returned, the rest queued) before the next iteration.

@@ -105,9 +105,6 @@ func TestBatchedStepEventAttribution(t *testing.T) {
 	s.Submit(workload.Request{ID: 0, DecodeTokens: 4},
 		workload.Request{ID: 1, DecodeTokens: 4},
 		workload.Request{ID: 2, DecodeTokens: 4})
-	if s.Batcher() != "greedy" {
-		t.Fatalf("session batcher %q, want greedy", s.Batcher())
-	}
 
 	byBatch := map[int][]StepEvent{}
 	s.Run(func(ev StepEvent) { byBatch[ev.Batch] = append(byBatch[ev.Batch], ev) })
@@ -156,7 +153,7 @@ func TestBatchedStepEventAttribution(t *testing.T) {
 		t.Fatal("greedy policy with 3 decode requests never merged a batch")
 	}
 	// Attributed lookups across all events equal the cache's counters.
-	if got := e.Cache().Hits() + e.Cache().Misses(); got != looks {
+	if got := e.Caches().Shard(0).Hits() + e.Caches().Shard(0).Misses(); got != looks {
 		t.Fatalf("attributed lookups %d != cache counters %d", looks, got)
 	}
 }

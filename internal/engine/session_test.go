@@ -219,9 +219,6 @@ func newEngineOpts(t *testing.T, seed uint64, extra ...Option) *Engine {
 func TestSessionFCFSServesInOrder(t *testing.T) {
 	e := newEngineOpts(t, 210, WithRequestScheduler("fcfs"))
 	s := e.NewSession(WithMaxConcurrent(2))
-	if s.Scheduler() != "fcfs" {
-		t.Fatalf("session scheduler %q, want fcfs", s.Scheduler())
-	}
 	s.Submit(workload.Request{ID: 0, PromptTokens: 16, DecodeTokens: 3},
 		workload.Request{ID: 1, PromptTokens: 16, DecodeTokens: 3})
 	var order []int

@@ -20,7 +20,7 @@ func stepUntilWorkload(seed uint64) []workload.Request {
 
 // TestStepUntilMatchesStepLoop pins the batched stepping contract the
 // cluster's parallel windows build on: driving a session through
-// StepUntil at an arbitrary ladder of horizons — including horizons
+// StepUntilClocked at an arbitrary ladder of horizons — including horizons
 // landing mid-run, between steps, and past the end — yields exactly the
 // event sequence a plain Step loop emits on an equal-seed twin, and
 // every step's pre-step clock respects its horizon (a step may finish
@@ -42,27 +42,28 @@ func TestStepUntilMatchesStepLoop(t *testing.T) {
 	s := e.NewSession(WithMaxConcurrent(3))
 	s.Submit(stepUntilWorkload(seed)...)
 	horizons := []float64{span * 0.1, span * 0.25, span * 0.25, span * 0.6, span, math.Inf(1)}
-	var got []StepEvent
+	var got, batch []StepEvent
+	var clocks []float64
 	for _, h := range horizons {
 		pre := e.Clock()
-		batch := s.StepUntil(h)
+		batch, clocks = s.StepUntilClocked(h, batch[:0], clocks[:0])
 		if pre >= h && len(batch) != 0 {
-			t.Fatalf("StepUntil(%v) stepped a session already at clock %v", h, pre)
+			t.Fatalf("StepUntilClocked(%v) stepped a session already at clock %v", h, pre)
 		}
 		got = append(got, batch...)
-		if e.Clock() < h && s.Pending() > 0 {
-			t.Fatalf("StepUntil(%v) stopped at clock %v with %d pending", h, e.Clock(), s.Pending())
+		if e.Clock() < h && s.HasWork() {
+			t.Fatalf("StepUntilClocked(%v) stopped at clock %v with %d pending", h, e.Clock(), s.Pending())
 		}
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("horizon ladder left %d requests pending", s.Pending())
 	}
 	if len(got) != len(want) {
-		t.Fatalf("StepUntil emitted %d events, Step loop %d", len(got), len(want))
+		t.Fatalf("StepUntilClocked emitted %d events, Step loop %d", len(got), len(want))
 	}
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("event %d diverged:\n  step:      %+v\n  stepuntil: %+v", i, want[i], got[i])
+			t.Fatalf("event %d diverged:\n  step:       %+v\n  step-until: %+v", i, want[i], got[i])
 		}
 	}
 }

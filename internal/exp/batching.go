@@ -3,9 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"hybrimoe/internal/engine"
-	"hybrimoe/internal/hw"
-	"hybrimoe/internal/moe"
 	"hybrimoe/internal/report"
 	"hybrimoe/internal/workload"
 )
@@ -14,69 +11,6 @@ import (
 // study (and its CLI/report consumers) packs to — wide enough that a
 // full decode batch always merges and a typical prompt can ride along.
 const BatchBudget = 256
-
-// batchRun aggregates one batch-policy × concurrency serving run.
-type batchRun struct {
-	decodeTokens int
-	requestSteps int // compute events (one per request per iteration)
-	iterations   int // merged engine iterations
-	clockEnd     float64
-	ttft, tbt    report.LatencyStats
-}
-
-// decodeThroughput reports decode tokens per simulated second over the
-// whole run — the quantity continuous batching exists to raise.
-func (r batchRun) decodeThroughput() float64 {
-	if r.clockEnd == 0 {
-		return 0
-	}
-	return float64(r.decodeTokens) / r.clockEnd
-}
-
-// meanBatch reports the mean number of requests advanced per engine
-// iteration.
-func (r batchRun) meanBatch() float64 {
-	if r.iterations == 0 {
-		return 0
-	}
-	return float64(r.requestSteps) / float64(r.iterations)
-}
-
-// driveBatch serves reqs through a fresh HybriMoE engine under the
-// named batch former and concurrency limit.
-func driveBatch(p Params, ratio float64, reqs []workload.Request,
-	policy string, budget, concurrent int) batchRun {
-	e, err := engine.New(moe.DeepSeek(), hw.A6000Platform(), engine.HybriMoEFramework(),
-		engine.WithCacheRatio(ratio),
-		engine.WithSeed(p.Seed),
-		engine.WithBatchPolicy(policy, budget))
-	if err != nil {
-		panic(err)
-	}
-	s := e.NewSession(engine.WithMaxConcurrent(concurrent))
-	s.Submit(reqs...)
-
-	var r batchRun
-	var ttfts, tbts []float64
-	s.Run(func(ev engine.StepEvent) {
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
-		switch ev.Phase {
-		case engine.PhasePrefill:
-			ttfts = append(ttfts, ev.Latency)
-			r.requestSteps++
-		case engine.PhaseDecode:
-			tbts = append(tbts, ev.Latency)
-			r.decodeTokens += ev.Tokens
-			r.requestSteps++
-		}
-	})
-	r.iterations = s.Batches()
-	r.ttft = report.Latencies(ttfts)
-	r.tbt = report.Latencies(tbts)
-	return r
-}
 
 // BatchingStudy compares the batch formers × concurrency limits on one
 // fixed mixed-corpus stream served by the HybriMoE framework on the
@@ -112,9 +46,10 @@ func (s batchingStudy) Cells(p Params) []Cell {
 			cells = append(cells, Cell{
 				Label: fmt.Sprintf("batching/%s/x%d", policy, concurrent),
 				Run: func() []Row {
-					r := driveBatch(p, s.ratio, reqs, policy, BatchBudget, concurrent)
+					r := Drive(hybriBox(p, s.ratio, concurrent, "round-robin", policy, nil), reqs, nil)
+					tbt := report.Latencies(r.TBT)
 					return []Row{{policy, concurrent, r.decodeThroughput(),
-						r.tbt.P50, r.tbt.P95, r.ttft.P95, r.meanBatch(), r.clockEnd}}
+						tbt.P50, tbt.P95, report.Latencies(r.Forward).P95, r.MeanBatch(), r.Makespan}}
 				},
 			})
 		}

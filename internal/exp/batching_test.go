@@ -49,19 +49,19 @@ func TestBatchingBeatsNoneAtConcurrency8(t *testing.T) {
 	p := QuickParams()
 	p.DecodeSteps = 12
 	reqs := studyRequests(p, 12)
-	none := driveBatch(p, 0.25, reqs, "none", BatchBudget, 8)
+	none := Drive(hybriBox(p, 0.25, 8, "round-robin", "none", nil), reqs, nil)
 	for _, policy := range []string{"greedy", "phase-aware"} {
-		batched := driveBatch(p, 0.25, reqs, policy, BatchBudget, 8)
+		batched := Drive(hybriBox(p, 0.25, 8, "round-robin", policy, nil), reqs, nil)
 		if batched.decodeThroughput() <= none.decodeThroughput() {
 			t.Errorf("%s decode throughput %.2f tok/s does not beat none's %.2f",
 				policy, batched.decodeThroughput(), none.decodeThroughput())
 		}
-		if batched.meanBatch() <= 1 {
-			t.Errorf("%s never merged: mean batch %.2f", policy, batched.meanBatch())
+		if batched.MeanBatch() <= 1 {
+			t.Errorf("%s never merged: mean batch %.2f", policy, batched.MeanBatch())
 		}
 	}
-	if none.meanBatch() != 1 {
-		t.Errorf("none must keep solo iterations, got mean batch %.2f", none.meanBatch())
+	if none.MeanBatch() != 1 {
+		t.Errorf("none must keep solo iterations, got mean batch %.2f", none.MeanBatch())
 	}
 }
 
@@ -72,14 +72,14 @@ func TestBatchingConservesWork(t *testing.T) {
 	p := QuickParams()
 	p.DecodeSteps = 6
 	reqs := studyRequests(p, 8)
-	none := driveBatch(p, 0.25, reqs, "none", BatchBudget, 4)
+	none := Drive(hybriBox(p, 0.25, 4, "round-robin", "none", nil), reqs, nil)
 	for _, policy := range []string{"greedy", "phase-aware"} {
-		r := driveBatch(p, 0.25, reqs, policy, BatchBudget, 4)
-		if r.decodeTokens != none.decodeTokens {
-			t.Errorf("%s decoded %d tokens, none %d", policy, r.decodeTokens, none.decodeTokens)
+		r := Drive(hybriBox(p, 0.25, 4, "round-robin", policy, nil), reqs, nil)
+		if r.DecodeTokens != none.DecodeTokens {
+			t.Errorf("%s decoded %d tokens, none %d", policy, r.DecodeTokens, none.DecodeTokens)
 		}
-		if r.requestSteps != none.requestSteps {
-			t.Errorf("%s ran %d request-steps, none %d", policy, r.requestSteps, none.requestSteps)
+		if r.RequestSteps != none.RequestSteps {
+			t.Errorf("%s ran %d request-steps, none %d", policy, r.RequestSteps, none.RequestSteps)
 		}
 	}
 }

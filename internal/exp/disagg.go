@@ -4,87 +4,8 @@ import (
 	"fmt"
 
 	"hybrimoe/internal/cluster"
-	"hybrimoe/internal/engine"
 	"hybrimoe/internal/report"
-	"hybrimoe/internal/workload"
 )
-
-// disaggRun extends fleetRun with the stage-split accounting a
-// disaggregation run produces: how many requests migrated, how warm the
-// priced working set landed, and the inter-token gap distribution the
-// interference claim is judged on.
-type disaggRun struct {
-	fleetRun
-	handoffs                int
-	warmExperts, allExperts int
-	// gapQ summarises inter-token gaps: consecutive decode completions
-	// per request, with the first gap anchored at the prefill completion
-	// so migration transfer and decode-pool queueing are charged to it.
-	gapQ report.LatencyStats
-}
-
-// warmFrac is the fraction of migrated working-set experts already
-// resident on the adopting decode replica (0 when nothing migrated).
-func (r disaggRun) warmFrac() float64 {
-	if r.allExperts == 0 {
-		return 0
-	}
-	return float64(r.warmExperts) / float64(r.allExperts)
-}
-
-// driveDisagg serves reqs through an n-replica affinity-routed fleet
-// under the given pool spec (zero spec = the mixed baseline), measuring
-// time-between-tokens as the per-request inter-token gap stream rather
-// than raw step latency: a decode step that waited behind a neighbour's
-// long prefill shows up as a stretched gap even though the step itself
-// was cheap, which is exactly the interference disaggregation removes.
-func driveDisagg(p Params, ratio float64, n int, reqs []workload.Request,
-	spec cluster.PoolSpec) disaggRun {
-	c, err := NewFleet(n, "affinity", p.Seed, ratio, append(workerOpts(p), poolOpts(spec)...)...)
-	if err != nil {
-		panic(err)
-	}
-	c.Submit(reqs...)
-
-	r := disaggRun{fleetRun: fleetRun{offered: len(reqs)}}
-	var (
-		ttftQ, gaps []float64
-		prefillEnd  = map[int]float64{}
-		lastDecode  = map[int]float64{}
-	)
-	c.Run(func(ev cluster.Event) {
-		if ev.Kind != cluster.EventStep {
-			// Handoff and lifecycle records carry no compute; their cost
-			// already lands in the first decode gap via ReadyAt.
-			return
-		}
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
-		switch ev.Phase {
-		case engine.PhasePrefill:
-			ttftQ = append(ttftQ, ev.Queued+ev.Latency)
-			prefillEnd[ev.Request] = ev.End
-		case engine.PhaseDecode:
-			prev, ok := lastDecode[ev.Request]
-			if !ok {
-				prev = prefillEnd[ev.Request]
-			}
-			gaps = append(gaps, ev.End-prev)
-			lastDecode[ev.Request] = ev.End
-		}
-		if ev.Done {
-			r.completed++
-		}
-	})
-	r.ttftQ = report.Latencies(ttftQ)
-	r.gapQ = report.Latencies(gaps)
-	r.routed = c.Routed()
-	r.pools = c.Pools()
-	r.handoffs = c.Handoffs()
-	r.warmExperts, r.allExperts = c.MigratedExperts()
-	return r
-}
 
 // disaggConfigs is the pool grid the study contrasts, mixed baseline
 // first in each rate group so Render can anchor the isolation delta.
@@ -134,8 +55,8 @@ const disaggReplicas = 3
 const disaggGapCol = 7
 
 func (s disaggStudy) Cells(p Params) []Cell {
-	base := driveFleet(p, s.ratio, 1, "round-robin", fleetRequests(p, s.requests, 0), nil)
-	perReplica := float64(base.completed) / base.clockEnd
+	base := Drive(fleet(p, s.ratio, 1, "round-robin"), fleetRequests(p, s.requests, 0), nil)
+	perReplica := float64(base.Completed) / base.Makespan
 
 	// Rate-major, config-minor grid (mixed first per rate) — Render
 	// leans on this order to pair each split with its mixed baseline.
@@ -147,10 +68,10 @@ func (s disaggStudy) Cells(p Params) []Cell {
 			cells = append(cells, Cell{
 				Label: fmt.Sprintf("disagg/%s/%.3g", spec, rate),
 				Run: func() []Row {
-					r := driveDisagg(p, s.ratio, disaggReplicas, reqs, spec)
-					return []Row{{spec.String(), rate, r.completed, r.goodput(),
-						r.handoffs, r.warmFrac(), r.ttftQ.P95, r.gapQ.P95,
-						r.clockEnd}}
+					r := Drive(fleet(p, s.ratio, disaggReplicas, "affinity", cluster.WithPools(spec)), reqs, nil)
+					return []Row{{spec.String(), rate, r.Completed, r.goodput(),
+						r.Handoffs, r.warmFrac(), report.Latencies(r.TTFT).P95,
+						report.Latencies(r.Gaps).P95, r.Makespan}}
 				},
 			})
 		}

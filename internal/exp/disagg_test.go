@@ -19,31 +19,35 @@ func TestDisaggIsolationAtSaturation(t *testing.T) {
 	p := QuickParams()
 	const requests, ratio = 18, 0.25
 
-	base := driveFleet(p, ratio, 1, "round-robin", fleetRequests(p, requests, 0), nil)
-	perReplica := float64(base.completed) / base.clockEnd
+	base := Drive(fleet(p, ratio, 1, "round-robin"), fleetRequests(p, requests, 0), nil)
+	perReplica := float64(base.Completed) / base.Makespan
 	rate := 2.4 * perReplica * disaggReplicas
 	reqs := fleetRequests(p, requests, rate)
 
-	mixed := driveDisagg(p, ratio, disaggReplicas, reqs, cluster.PoolSpec{})
-	split := driveDisagg(p, ratio, disaggReplicas, reqs, cluster.PoolSpec{Prefill: 1, Decode: 2})
+	disagg := func(spec cluster.PoolSpec) *Tally {
+		return Drive(fleet(p, ratio, disaggReplicas, "affinity", cluster.WithPools(spec)), reqs, nil)
+	}
+	mixed := disagg(cluster.PoolSpec{})
+	split := disagg(cluster.PoolSpec{Prefill: 1, Decode: 2})
 
-	if mixed.completed != requests || split.completed != requests {
+	if mixed.Completed != requests || split.Completed != requests {
 		t.Fatalf("completions mixed=%d split=%d, want %d each",
-			mixed.completed, split.completed, requests)
+			mixed.Completed, split.Completed, requests)
 	}
-	if mixed.handoffs != 0 {
-		t.Fatalf("mixed baseline migrated %d requests, want 0", mixed.handoffs)
+	if mixed.Handoffs != 0 {
+		t.Fatalf("mixed baseline migrated %d requests, want 0", mixed.Handoffs)
 	}
-	if split.handoffs != requests {
-		t.Fatalf("split migrated %d requests, want every one of %d", split.handoffs, requests)
+	if split.Handoffs != requests {
+		t.Fatalf("split migrated %d requests, want every one of %d", split.Handoffs, requests)
 	}
-	if split.allExperts == 0 || split.warmExperts == 0 {
+	if split.MigratedExperts == 0 || split.WarmExperts == 0 {
 		t.Fatalf("migrated working sets landed cold: %d/%d experts warm",
-			split.warmExperts, split.allExperts)
+			split.WarmExperts, split.MigratedExperts)
 	}
-	if split.gapQ.P95 >= mixed.gapQ.P95 {
+	splitGap, mixedGap := report.Latencies(split.Gaps).P95, report.Latencies(mixed.Gaps).P95
+	if splitGap >= mixedGap {
 		t.Errorf("disaggregated p95 inter-token gap %.4f did not beat mixed %.4f at rate %.2f",
-			split.gapQ.P95, mixed.gapQ.P95, rate)
+			splitGap, mixedGap, rate)
 	}
 }
 
@@ -88,42 +92,13 @@ func TestDisaggStudyGridShape(t *testing.T) {
 	}
 }
 
-// TestFleetStudiesPerPoolColumn pins the opt-in breakdown satellite: the
-// registry-default (unpooled) fleet and churn studies render their
-// historical headers untouched, while a pooled spec appends the
-// per-pool column and driveFleet's breakdown accounts for every
-// dispatch — fresh prompts on the prefill pool, handoffs on decode.
-func TestFleetStudiesPerPoolColumn(t *testing.T) {
-	p := QuickParams()
-	hdr := func(r Renderable) string { return renderString(r) }
-
-	plain := hdr(fleetStudy{}.Render(p, nil)) + hdr(fleetChurnStudy{}.Render(p, nil))
-	if strings.Contains(plain, "per-pool") {
-		t.Fatalf("unpooled studies grew a per-pool column:\n%s", plain)
-	}
-	spec := cluster.PoolSpec{Prefill: 1, Decode: 2}
-	pooled := hdr(fleetStudy{pools: spec}.Render(p, nil)) +
-		hdr(fleetChurnStudy{pools: spec}.Render(p, nil))
-	if strings.Count(pooled, "per-pool") != 2 {
-		t.Fatalf("pooled studies did not both render the per-pool column:\n%s", pooled)
-	}
-
-	const requests = 8
-	r := driveFleet(p, 0.25, 3, "affinity", fleetRequests(p, requests, 10), nil,
-		cluster.WithPools(spec))
-	if got, want := r.perPool(), "P:8 D:8 M:0"; got != want {
-		t.Fatalf("perPool() = %q, want %q (every request dispatched to prefill then handed off)",
-			got, want)
-	}
-}
-
 // TestDisaggRunDerivedMetrics keeps warmFrac honest on its edges.
 func TestDisaggRunDerivedMetrics(t *testing.T) {
-	var zero disaggRun
+	var zero Tally
 	if zero.warmFrac() != 0 {
-		t.Fatal("zero-value disaggRun must not divide by zero")
+		t.Fatal("zero-value Tally must not divide by zero")
 	}
-	r := disaggRun{warmExperts: 3, allExperts: 4, gapQ: report.LatencyStats{}}
+	r := &Tally{WarmExperts: 3, MigratedExperts: 4}
 	if got := r.warmFrac(); got != 0.75 {
 		t.Fatalf("warmFrac = %v, want 0.75", got)
 	}

@@ -15,52 +15,6 @@ import (
 // consumer uses, matching the open-loop study's serving shape.
 const FleetConcurrent = 3
 
-// fleetRun aggregates one replicas × router × arrival-rate serving run.
-type fleetRun struct {
-	offered, completed, shed int
-	clockEnd                 float64
-	ttftQ                    report.LatencyStats
-	routed                   []int
-	// pools echoes the fleet's disaggregation spec (zero when unpooled)
-	// so renders can break the dispatch spread down per pool.
-	pools cluster.PoolSpec
-}
-
-// perPool renders the dispatch spread summed per pool role, the
-// breakdown pooled study rows append.
-func (r fleetRun) perPool() string {
-	var p, d, m int
-	for i, n := range r.routed {
-		switch r.pools.Role(i) {
-		case cluster.RolePrefill:
-			p += n
-		case cluster.RoleDecode:
-			d += n
-		default:
-			m += n
-		}
-	}
-	return fmt.Sprintf("P:%d D:%d M:%d", p, d, m)
-}
-
-func (r fleetRun) shedFraction() float64 {
-	if r.offered == 0 {
-		return 0
-	}
-	return float64(r.shed) / float64(r.offered)
-}
-
-// goodput reports completions per simulated second of fleet makespan.
-// Routing to the replica whose cache is ready moves it two ways at
-// once: warm steps advance the clock less, and the latency they save
-// keeps the admission guard from shedding.
-func (r fleetRun) goodput() float64 {
-	if r.clockEnd == 0 {
-		return 0
-	}
-	return float64(r.completed) / r.clockEnd
-}
-
 // NewFleet assembles the canonical fleet every consumer (the study, the
 // CLI, the benchmark) shares: n HybriMoE replicas on A6000-class boxes,
 // seeded per replica from the base seed, steered by the named router.
@@ -87,61 +41,6 @@ func NewFleet(n int, routerName string, seed uint64, ratio float64,
 		cluster.WithMaxConcurrent(FleetConcurrent),
 	}, opts...)
 	return cluster.New(opts...)
-}
-
-// workerOpts resolves Params.ClusterWorkers into cluster options — nil
-// at 0/1 so serial-path configurations stay untouched.
-func workerOpts(p Params) []cluster.Option {
-	if p.ClusterWorkers > 1 {
-		return []cluster.Option{cluster.WithWorkers(p.ClusterWorkers)}
-	}
-	return nil
-}
-
-// driveFleet serves reqs through a fresh n-replica fleet under the
-// named router, optional fleet-level admission policy, and any further
-// cluster options (pool specs, lifecycle knobs).
-func driveFleet(p Params, ratio float64, n int, routerName string,
-	reqs []workload.Request, adm engine.AdmissionPolicy, extra ...cluster.Option) fleetRun {
-	opts := workerOpts(p)
-	if adm != nil {
-		opts = append(opts, cluster.WithAdmission(adm))
-	}
-	opts = append(opts, extra...)
-	c, err := NewFleet(n, routerName, p.Seed, ratio, opts...)
-	if err != nil {
-		panic(err)
-	}
-	c.Submit(reqs...)
-
-	r := fleetRun{offered: len(reqs)}
-	var ttftQ []float64
-	c.Run(func(ev cluster.Event) {
-		if ev.Kind != cluster.EventStep {
-			// Lifecycle records (warming/draining/dead/rerouted) carry
-			// no compute; the counters below read compute phases only.
-			return
-		}
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
-		switch ev.Phase {
-		case engine.PhasePrefill:
-			ttftQ = append(ttftQ, ev.Queued+ev.Latency)
-		case engine.PhaseShed:
-			r.shed++
-			return
-		case engine.PhaseDeferred:
-			return
-		}
-		if ev.Done {
-			r.completed++
-		}
-	})
-	r.ttftQ = report.Latencies(ttftQ)
-	r.routed = c.Routed()
-	r.pools = c.Pools()
-	return r
 }
 
 // fleetGuard builds the study's fleet-level SLO admission guard from a
@@ -193,23 +92,11 @@ func FleetStudy(p Params, requests int, replicaCounts []int, ratio float64) *rep
 // single-replica calibration runs serially in Cells, then one cell per
 // replicas × rate × router point. Each (replicas, rate) pair draws its
 // request stream once, shared read-only across that pair's router
-// cells. A pool spec (optional — the registry default is unpooled and
-// renders exactly the historical table) splits every swept fleet into
-// disaggregated pools and appends a per-pool dispatch-spread column.
+// cells.
 type fleetStudy struct {
 	requests      int
 	replicaCounts []int
 	ratio         float64
-	pools         cluster.PoolSpec
-}
-
-// poolOpts converts the study's pool spec into cluster options (none
-// when unpooled).
-func poolOpts(spec cluster.PoolSpec) []cluster.Option {
-	if !spec.Pooled() {
-		return nil
-	}
-	return []cluster.Option{cluster.WithPools(spec)}
 }
 
 func (fleetStudy) ID() string       { return "fleet" }
@@ -218,9 +105,9 @@ func (fleetStudy) Describe() string { return "Multi-replica fleet: routers × Po
 func (s fleetStudy) Cells(p Params) []Cell {
 	// Single-replica closed-loop calibration: capacity in completions
 	// per busy second, and the unqueued forward p95 for the SLO target.
-	base := driveFleet(p, s.ratio, 1, "round-robin", fleetRequests(p, s.requests, 0), nil)
-	perReplica := float64(base.completed) / base.clockEnd
-	adm := fleetGuard(base.ttftQ.P95)
+	base := Drive(fleet(p, s.ratio, 1, "round-robin"), fleetRequests(p, s.requests, 0), nil)
+	perReplica := float64(base.Completed) / base.Makespan
+	adm := fleetGuard(report.Latencies(base.TTFT).P95)
 
 	var cells []Cell
 	for _, n := range s.replicaCounts {
@@ -231,13 +118,9 @@ func (s fleetStudy) Cells(p Params) []Cell {
 				cells = append(cells, Cell{
 					Label: fmt.Sprintf("fleet/%dx/%s/%.3g", n, routerName, rate),
 					Run: func() []Row {
-						r := driveFleet(p, s.ratio, n, routerName, reqs, adm(), poolOpts(s.pools)...)
-						row := Row{n, routerName, rate, r.completed, r.shedFraction(),
-							r.goodput(), r.ttftQ.P95, r.clockEnd, fmt.Sprint(r.routed)}
-						if s.pools.Pooled() {
-							row = append(row, r.perPool())
-						}
-						return []Row{row}
+						r := Drive(fleet(p, s.ratio, n, routerName, cluster.WithAdmission(adm())), reqs, nil)
+						return []Row{{n, routerName, rate, r.Completed, r.shedFraction(),
+							r.goodput(), report.Latencies(r.TTFT).P95, r.Makespan, fmt.Sprint(r.Routed)}}
 					},
 				})
 			}
@@ -246,12 +129,8 @@ func (s fleetStudy) Cells(p Params) []Cell {
 	return cells
 }
 
-func (s fleetStudy) Render(_ Params, results [][]Row) Renderable {
-	cols := []string{"replicas", "router", "rate(req/s)", "completed", "shed-fraction",
-		"goodput(req/s)", "p95-TTFT(s)", "makespan(s)", "routed"}
-	if s.pools.Pooled() {
-		cols = append(cols, "per-pool")
-	}
+func (fleetStudy) Render(_ Params, results [][]Row) Renderable {
 	return tableFromCells("Fleet study: replicas × router × Poisson arrival rate (HybriMoE)",
-		cols, results)
+		[]string{"replicas", "router", "rate(req/s)", "completed", "shed-fraction",
+			"goodput(req/s)", "p95-TTFT(s)", "makespan(s)", "routed"}, results)
 }

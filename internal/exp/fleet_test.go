@@ -20,16 +20,16 @@ func TestFleetStudyAffinityMeetsRoundRobin(t *testing.T) {
 	p := QuickParams()
 	const requests, replicas, ratio = 16, 4, 0.25
 
-	base := driveFleet(p, ratio, 1, "round-robin", fleetRequests(p, requests, 0), nil)
-	perReplica := float64(base.completed) / base.clockEnd
-	guard := fleetGuard(base.ttftQ.P95)
+	base := Drive(fleet(p, ratio, 1, "round-robin"), fleetRequests(p, requests, 0), nil)
+	perReplica := float64(base.Completed) / base.Makespan
+	guard := fleetGuard(report.Latencies(base.TTFT).P95)
 
 	strictly := false
 	for _, mult := range []float64{1.5, 4} {
 		rate := mult * perReplica * replicas
 		reqs := fleetRequests(p, requests, rate)
-		aff := driveFleet(p, ratio, replicas, "affinity", reqs, guard())
-		rr := driveFleet(p, ratio, replicas, "round-robin", reqs, guard())
+		aff := Drive(fleet(p, ratio, replicas, "affinity", cluster.WithAdmission(guard())), reqs, nil)
+		rr := Drive(fleet(p, ratio, replicas, "round-robin", cluster.WithAdmission(guard())), reqs, nil)
 		if aff.goodput() < rr.goodput() {
 			t.Errorf("rate %.2f: affinity goodput %.3f < round-robin %.3f",
 				rate, aff.goodput(), rr.goodput())
@@ -60,18 +60,18 @@ func TestFleetStudyRendersEveryRouter(t *testing.T) {
 	}
 }
 
-// fleetRunSanity keeps the helper struct honest on its derived ratios.
+// TestFleetRunDerivedMetrics keeps the tally honest on its derived
+// ratios.
 func TestFleetRunDerivedMetrics(t *testing.T) {
-	r := fleetRun{offered: 8, completed: 6, shed: 2, clockEnd: 3.0,
-		ttftQ: report.LatencyStats{}}
+	r := &Tally{Offered: 8, Completed: 6, Shed: 2, Makespan: 3.0}
 	if got := r.shedFraction(); got != 0.25 {
 		t.Fatalf("shedFraction = %v, want 0.25", got)
 	}
 	if got := r.goodput(); got != 2.0 {
 		t.Fatalf("goodput = %v, want 2.0", got)
 	}
-	var zero fleetRun
+	var zero Tally
 	if zero.shedFraction() != 0 || zero.goodput() != 0 {
-		t.Fatal("zero-value fleetRun must not divide by zero")
+		t.Fatal("zero-value Tally must not divide by zero")
 	}
 }

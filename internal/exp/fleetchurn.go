@@ -5,138 +5,7 @@ import (
 
 	"hybrimoe/internal/cluster"
 	"hybrimoe/internal/report"
-	"hybrimoe/internal/workload"
 )
-
-// churnRun extends fleetRun with the lifecycle accounting a churn
-// scenario produces: how much work the failure displaced, how long the
-// fleet took to absorb it, and what the cold scale-up replica's cache
-// actually delivered while it re-warmed.
-type churnRun struct {
-	fleetRun
-	rerouted, lost int
-	// deadAt is when the lease expiry detected the failure (0 when the
-	// scenario is churn-free).
-	deadAt float64
-	// recoverAt is the completion stamp of the last re-routed request —
-	// the moment the displaced queue has fully drained elsewhere.
-	recoverAt float64
-	// dipRate is goodput inside the (stallAt, recoverAt] outage window;
-	// postRate is goodput after recovery. dipDepth = 1 - dip/post.
-	dipRate, postRate float64
-	// coldHit and warmHit are aggregate cache hit fractions for the
-	// scale-up replicas (born cold) and the original warm fleet.
-	coldHit, warmHit float64
-	coldRouted       int
-}
-
-func (r churnRun) dipDepth() float64 {
-	if r.postRate == 0 {
-		return 0
-	}
-	return 1 - r.dipRate/r.postRate
-}
-
-func (r churnRun) recovery() float64 {
-	if r.recoverAt == 0 {
-		return 0
-	}
-	return r.recoverAt - r.deadAt
-}
-
-// driveChurn serves reqs through an n-replica fleet with the given
-// churn options (failures, scale plans) layered on, reading the
-// lifecycle event stream the cluster now publishes: Rerouted records
-// name the displaced requests, ReplicaDead stamps the detection time,
-// and per-replica hit/miss sums split warm incumbents from cold
-// joiners. stallAt anchors the dip window; pass 0 for churn-free rows.
-func driveChurn(p Params, ratio float64, n int, routerName string,
-	reqs []workload.Request, stallAt float64, opts ...cluster.Option) churnRun {
-	c, err := NewFleet(n, routerName, p.Seed, ratio, append(workerOpts(p), opts...)...)
-	if err != nil {
-		panic(err)
-	}
-	c.Submit(reqs...)
-
-	r := churnRun{fleetRun: fleetRun{offered: len(reqs)}}
-	var (
-		ttftQ        []float64
-		reroutedIDs  = map[int]bool{}
-		doneAt       = map[int]float64{}
-		hits, misses = map[int]int64{}, map[int]int64{}
-	)
-	c.Run(func(ev cluster.Event) {
-		switch ev.Kind {
-		case cluster.EventRerouted:
-			reroutedIDs[ev.Request] = true
-			return
-		case cluster.EventReplicaDead:
-			if ev.End > r.deadAt {
-				r.deadAt = ev.End
-			}
-			return
-		}
-		if ev.Kind != cluster.EventStep {
-			return
-		}
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
-		if ev.Phase == 0 { // prefill
-			ttftQ = append(ttftQ, ev.Queued+ev.Latency)
-		}
-		hits[ev.Replica] += ev.Hits
-		misses[ev.Replica] += ev.Misses
-		if ev.Done {
-			r.completed++
-			doneAt[ev.Request] = ev.End
-		}
-	})
-	r.ttftQ = report.Latencies(ttftQ)
-	r.routed = c.Routed()
-	r.pools = c.Pools()
-	r.rerouted, r.lost = c.Rerouted(), c.Lost()
-
-	for id := range reroutedIDs {
-		if at, ok := doneAt[id]; ok && at > r.recoverAt {
-			r.recoverAt = at
-		}
-	}
-	if stallAt > 0 && r.recoverAt > stallAt {
-		dip, post := 0, 0
-		for _, at := range doneAt {
-			switch {
-			case at > stallAt && at <= r.recoverAt:
-				dip++
-			case at > r.recoverAt:
-				post++
-			}
-		}
-		r.dipRate = float64(dip) / (r.recoverAt - stallAt)
-		if r.clockEnd > r.recoverAt {
-			r.postRate = float64(post) / (r.clockEnd - r.recoverAt)
-		}
-	}
-	hitFrac := func(h, m int64) float64 {
-		if h+m == 0 {
-			return 0
-		}
-		return float64(h) / float64(h+m)
-	}
-	var ch, cm, wh, wm int64
-	for i, h := range hits {
-		if i >= n {
-			ch, cm = ch+h, cm+misses[i]
-		} else {
-			wh, wm = wh+h, wm+misses[i]
-		}
-	}
-	r.coldHit, r.warmHit = hitFrac(ch, cm), hitFrac(wh, wm)
-	for i := n; i < len(r.routed); i++ {
-		r.coldRouted += r.routed[i]
-	}
-	return r
-}
 
 // churnScenario is one failure/elasticity shape the study sweeps.
 type churnScenario struct {
@@ -191,9 +60,6 @@ func churnScenarios() []churnScenario {
 type fleetChurnStudy struct {
 	requests, replicas int
 	ratio              float64
-	// pools optionally disaggregates the churned fleet; the registry
-	// default is unpooled, which renders exactly the historical table.
-	pools cluster.PoolSpec
 }
 
 func (fleetChurnStudy) ID() string { return "fleet-churn" }
@@ -207,14 +73,14 @@ func (fleetChurnStudy) Describe() string {
 var churnRouters = []string{"round-robin", "affinity"}
 
 func (s fleetChurnStudy) Cells(p Params) []Cell {
-	base := driveFleet(p, s.ratio, 1, "round-robin", fleetRequests(p, s.requests, 0), nil)
-	perReplica := float64(base.completed) / base.clockEnd
+	base := Drive(fleet(p, s.ratio, 1, "round-robin"), fleetRequests(p, s.requests, 0), nil)
+	perReplica := float64(base.Completed) / base.Makespan
 	// 1.2x aggregate capacity: enough overload that a lost replica digs
 	// a visible backlog, low enough that arrivals outlast the re-warm.
 	rate := 1.2 * perReplica * float64(s.replicas)
 	reqs := fleetRequests(p, s.requests, rate)
 
-	span := driveFleet(p, s.ratio, s.replicas, "round-robin", reqs, nil).clockEnd
+	span := Drive(fleet(p, s.ratio, s.replicas, "round-robin"), reqs, nil).Makespan
 	stallAt := 0.3 * span
 	scaleAt := stallAt
 
@@ -228,16 +94,11 @@ func (s fleetChurnStudy) Cells(p Params) []Cell {
 					if sc.stalls {
 						anchor = stallAt
 					}
-					opts := append(sc.opts(stallAt, scaleAt), poolOpts(s.pools)...)
-					r := driveChurn(p, s.ratio, s.replicas, routerName, reqs,
-						anchor, opts...)
-					row := Row{sc.name, routerName, r.completed, r.rerouted, r.lost,
-						r.goodput(), r.dipDepth(), r.recovery(), r.ttftQ.P95,
-						r.coldRouted, r.coldHit, r.warmHit}
-					if s.pools.Pooled() {
-						row = append(row, r.perPool())
-					}
-					return []Row{row}
+					r := Drive(fleet(p, s.ratio, s.replicas, routerName, sc.opts(stallAt, scaleAt)...), reqs, nil)
+					coldHit, warmHit := r.hitSplit(s.replicas)
+					return []Row{{sc.name, routerName, r.Completed, r.Rerouted, r.Lost,
+						r.goodput(), r.dipDepth(anchor), r.recovery(), report.Latencies(r.TTFT).P95,
+						r.routedFrom(s.replicas), coldHit, warmHit}}
 				},
 			})
 		}
@@ -246,12 +107,8 @@ func (s fleetChurnStudy) Cells(p Params) []Cell {
 }
 
 func (s fleetChurnStudy) Render(_ Params, results [][]Row) Renderable {
-	cols := []string{"scenario", "router", "completed", "rerouted", "lost", "goodput(req/s)",
-		"dip-depth", "recovery(s)", "p95-TTFT(s)", "cold-routed", "cold-hit", "warm-hit"}
-	if s.pools.Pooled() {
-		cols = append(cols, "per-pool")
-	}
 	return tableFromCells(
 		fmt.Sprintf("Fleet churn study: scenario × router, %d replicas (stall at 0.3 span, standby scale-up at the stall)", s.replicas),
-		cols, results)
+		[]string{"scenario", "router", "completed", "rerouted", "lost", "goodput(req/s)",
+			"dip-depth", "recovery(s)", "p95-TTFT(s)", "cold-routed", "cold-hit", "warm-hit"}, results)
 }

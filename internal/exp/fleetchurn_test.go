@@ -10,24 +10,23 @@ import (
 // churnTestShape mirrors fleetChurnStudy's calibration at the registry
 // scale, so the assertions below guard the same numbers the rendered
 // table reports.
-func churnTestShape(t *testing.T, p Params) (stallAt float64, drive func(router string, opts ...cluster.Option) churnRun) {
+func churnTestShape(t *testing.T, p Params) (stallAt float64, drive func(router string, opts ...cluster.Option) *Tally) {
 	t.Helper()
-	const requests, replicas, ratio = 24, 3, 0.25
-	base := driveFleet(p, ratio, 1, "round-robin", fleetRequests(p, requests, 0), nil)
-	perReplica := float64(base.completed) / base.clockEnd
-	rate := 1.2 * perReplica * replicas
+	const requests, ratio = 24, 0.25
+	base := Drive(fleet(p, ratio, 1, "round-robin"), fleetRequests(p, requests, 0), nil)
+	perReplica := float64(base.Completed) / base.Makespan
+	rate := 1.2 * perReplica * churnReplicas
 	stream := fleetRequests(p, requests, rate)
-	span := driveFleet(p, ratio, replicas, "round-robin", stream, nil).clockEnd
+	span := Drive(fleet(p, ratio, churnReplicas, "round-robin"), stream, nil).Makespan
 	stallAt = 0.3 * span
-	drive = func(router string, opts ...cluster.Option) churnRun {
-		anchor := 0.0
-		if len(opts) > 0 {
-			anchor = stallAt
-		}
-		return driveChurn(p, ratio, replicas, router, stream, anchor, opts...)
+	drive = func(router string, opts ...cluster.Option) *Tally {
+		return Drive(fleet(p, ratio, churnReplicas, router, opts...), stream, nil)
 	}
 	return stallAt, drive
 }
+
+// churnReplicas is the fleet size the churn tests run, the registry's.
+const churnReplicas = 3
 
 // TestFleetChurnStallRecovers pins the study's headline recovery claim
 // for both contrasted routers: a mid-run stall displaces queued work
@@ -40,22 +39,21 @@ func TestFleetChurnStallRecovers(t *testing.T) {
 	stallAt, drive := churnTestShape(t, p)
 	for _, router := range churnRouters {
 		r := drive(router, cluster.WithFailure(1, stallAt, cluster.FailStall))
-		if r.rerouted == 0 {
+		if r.Rerouted == 0 {
 			t.Errorf("%s: stall displaced no queued requests", router)
 		}
-		if r.completed+r.lost != r.offered {
+		if r.Completed+r.Lost != r.Offered {
 			t.Errorf("%s: completed %d + lost %d != offered %d",
-				router, r.completed, r.lost, r.offered)
+				router, r.Completed, r.Lost, r.Offered)
 		}
-		if r.recoverAt == 0 {
+		if r.recoverAt() == 0 {
 			t.Errorf("%s: no re-routed request ever completed", router)
 		}
 		if r.recovery() <= 0 {
 			t.Errorf("%s: recovery time %.3f not positive", router, r.recovery())
 		}
-		if r.dipDepth() <= 0 {
-			t.Errorf("%s: goodput never recovered: dip depth %.3f (outage rate %.3f, post-recovery rate %.3f)",
-				router, r.dipDepth(), r.dipRate, r.postRate)
+		if r.dipDepth(stallAt) <= 0 {
+			t.Errorf("%s: goodput never recovered: dip depth %.3f", router, r.dipDepth(stallAt))
 		}
 	}
 }
@@ -70,28 +68,34 @@ func TestFleetChurnStallRecovers(t *testing.T) {
 func TestFleetChurnStandbyPaysRewarm(t *testing.T) {
 	p := QuickParams()
 	stallAt, drive := churnTestShape(t, p)
-	runs := map[string]churnRun{}
+	type coldWarm struct {
+		routed           int
+		coldHit, warmHit float64
+	}
+	runs := map[string]coldWarm{}
 	for _, router := range churnRouters {
 		r := drive(router,
 			cluster.WithFailure(1, stallAt, cluster.FailStall),
 			cluster.WithScalePlan(cluster.ScaleEvent{At: stallAt, Delta: 1}))
-		runs[router] = r
-		if r.coldRouted == 0 {
+		cw := coldWarm{routed: r.routedFrom(churnReplicas)}
+		cw.coldHit, cw.warmHit = r.hitSplit(churnReplicas)
+		runs[router] = cw
+		if cw.routed == 0 {
 			t.Errorf("%s: standby replica never served a request", router)
 		}
-		if r.coldHit >= r.warmHit {
+		if cw.coldHit >= cw.warmHit {
 			t.Errorf("%s: cold hit rate %.3f not below warm %.3f; re-warm cost invisible",
-				router, r.coldHit, r.warmHit)
+				router, cw.coldHit, cw.warmHit)
 		}
-		if r.completed+r.lost != r.offered {
+		if r.Completed+r.Lost != r.Offered {
 			t.Errorf("%s: completed %d + lost %d != offered %d",
-				router, r.completed, r.lost, r.offered)
+				router, r.Completed, r.Lost, r.Offered)
 		}
 	}
 	rr, aff := runs["round-robin"], runs["affinity"]
-	if rr.coldRouted == aff.coldRouted && rr.coldHit == aff.coldHit {
+	if rr == aff {
 		t.Errorf("routers split cold traffic identically (%d dispatches at hit %.3f); no contrast to render",
-			rr.coldRouted, rr.coldHit)
+			rr.routed, rr.coldHit)
 	}
 }
 
@@ -100,18 +104,18 @@ func TestFleetChurnStandbyPaysRewarm(t *testing.T) {
 // nothing lost, no dip, no recovery window — and every request lands.
 func TestFleetChurnSteadyIsQuiet(t *testing.T) {
 	p := QuickParams()
-	_, drive := churnTestShape(t, p)
+	stallAt, drive := churnTestShape(t, p)
 	for _, router := range churnRouters {
 		r := drive(router)
-		if r.rerouted != 0 || r.lost != 0 {
-			t.Errorf("%s: steady run re-routed %d / lost %d", router, r.rerouted, r.lost)
+		if r.Rerouted != 0 || r.Lost != 0 {
+			t.Errorf("%s: steady run re-routed %d / lost %d", router, r.Rerouted, r.Lost)
 		}
-		if r.completed != r.offered {
-			t.Errorf("%s: steady run completed %d of %d", router, r.completed, r.offered)
+		if r.Completed != r.Offered {
+			t.Errorf("%s: steady run completed %d of %d", router, r.Completed, r.Offered)
 		}
-		if r.dipDepth() != 0 || r.recovery() != 0 {
+		if r.dipDepth(stallAt) != 0 || r.recovery() != 0 {
 			t.Errorf("%s: steady run reports dip %.3f recovery %.3f",
-				router, r.dipDepth(), r.recovery())
+				router, r.dipDepth(stallAt), r.recovery())
 		}
 	}
 }

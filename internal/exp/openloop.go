@@ -4,86 +4,9 @@ import (
 	"fmt"
 
 	"hybrimoe/internal/engine"
-	"hybrimoe/internal/hw"
-	"hybrimoe/internal/moe"
 	"hybrimoe/internal/report"
 	"hybrimoe/internal/workload"
 )
-
-// openLoopRun aggregates one arrival-rate × scheduler × batch-former
-// serving run.
-type openLoopRun struct {
-	offered, completed, shed int
-	clockEnd                 float64
-	// ttftQ is the queue-inclusive TTFT (arrival → first token);
-	// forward is the prefill forward alone (the pre-arrival TTFT);
-	// queue is the arrival → prefill-start wait.
-	ttftQ, forward, queue report.LatencyStats
-}
-
-func (r openLoopRun) shedFraction() float64 {
-	if r.offered == 0 {
-		return 0
-	}
-	return float64(r.shed) / float64(r.offered)
-}
-
-// goodput reports completions per simulated second — shed requests
-// deliver nothing, so admission raises it exactly when dropping load
-// lets the rest finish sooner.
-func (r openLoopRun) goodput() float64 {
-	if r.clockEnd == 0 {
-		return 0
-	}
-	return float64(r.completed) / r.clockEnd
-}
-
-// driveOpenLoop serves reqs through a fresh HybriMoE engine under the
-// named request scheduler, batch former and optional admission policy.
-func driveOpenLoop(p Params, ratio float64, reqs []workload.Request,
-	schedName, batchName string, adm engine.AdmissionPolicy) openLoopRun {
-	opts := []engine.Option{
-		engine.WithCacheRatio(ratio),
-		engine.WithSeed(p.Seed),
-		engine.WithRequestScheduler(schedName),
-		engine.WithBatchPolicy(batchName, BatchBudget),
-	}
-	if adm != nil {
-		opts = append(opts, engine.WithAdmission(adm))
-	}
-	e, err := engine.New(moe.DeepSeek(), hw.A6000Platform(), engine.HybriMoEFramework(), opts...)
-	if err != nil {
-		panic(err)
-	}
-	s := e.NewSession(engine.WithMaxConcurrent(3))
-	s.Submit(reqs...)
-
-	r := openLoopRun{offered: len(reqs)}
-	var ttftQ, forward, queue []float64
-	s.Run(func(ev engine.StepEvent) {
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
-		switch ev.Phase {
-		case engine.PhasePrefill:
-			forward = append(forward, ev.Latency)
-			ttftQ = append(ttftQ, ev.Queued+ev.Latency)
-			queue = append(queue, ev.Queued)
-		case engine.PhaseShed:
-			r.shed++
-			return
-		case engine.PhaseDeferred:
-			return
-		}
-		if ev.Done {
-			r.completed++
-		}
-	})
-	r.ttftQ = report.Latencies(ttftQ)
-	r.forward = report.Latencies(forward)
-	r.queue = report.Latencies(queue)
-	return r
-}
 
 // OpenLoopStudy serves the same mixed-corpus request sequence under
 // open-loop Poisson arrivals at three rates — about half, twice and
@@ -134,10 +57,11 @@ func (s openLoopStudy) Cells(p Params) []Cell {
 	// forward p95 with a low sample floor — a deliberately strained SLO
 	// that only queueing can breach, so the shed fraction tracks the
 	// arrival rate rather than the workload content.
-	base := driveOpenLoop(p, s.ratio, mkReqs(0), "round-robin", "none", nil)
-	capacity := float64(base.completed) / base.clockEnd
+	base := Drive(hybriBox(p, s.ratio, 3, "round-robin", "none", nil), mkReqs(0), nil)
+	capacity := float64(base.Completed) / base.Makespan
+	forward := report.Latencies(base.Forward)
 	adm := func() engine.AdmissionPolicy {
-		return &engine.SLOAdmission{TTFTp95: 1.25 * base.forward.P95, MinSamples: 2, ShedFactor: 1.5}
+		return &engine.SLOAdmission{TTFTp95: 1.25 * forward.P95, MinSamples: 2, ShedFactor: 1.5}
 	}
 
 	var cells []Cell
@@ -148,9 +72,10 @@ func (s openLoopStudy) Cells(p Params) []Cell {
 				cells = append(cells, Cell{
 					Label: fmt.Sprintf("open-loop/%.3g/%s/%s", rate, schedName, batchName),
 					Run: func() []Row {
-						r := driveOpenLoop(p, s.ratio, mkReqs(rate), schedName, batchName, adm())
-						return []Row{{rate, schedName, batchName, r.completed, r.shedFraction(),
-							r.goodput(), r.ttftQ.P95, r.forward.P95, r.queue.P95}}
+						r := Drive(hybriBox(p, s.ratio, 3, schedName, batchName, adm()), mkReqs(rate), nil)
+						return []Row{{rate, schedName, batchName, r.Completed, r.shedFraction(),
+							r.goodput(), report.Latencies(r.TTFT).P95,
+							report.Latencies(r.Forward).P95, report.Latencies(r.Queue).P95}}
 					},
 				})
 			}

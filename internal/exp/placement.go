@@ -2,77 +2,22 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
+	"hybrimoe/internal/cluster"
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/hw"
-	"hybrimoe/internal/moe"
 	"hybrimoe/internal/report"
 	"hybrimoe/internal/workload"
 )
 
-// placementRun aggregates one topology × scheduler × cache-ratio
-// serving run.
-type placementRun struct {
-	decodeTokens int
-	clockEnd     float64
-	tbt          report.LatencyStats
-	hitRate      float64
-	// gpuBusy sums each device's busy seconds across the run (from the
-	// per-device StepEvent vectors).
-	gpuBusy []float64
-}
-
-// decodeThroughput reports decode tokens per simulated second.
-func (r placementRun) decodeThroughput() float64 {
-	if r.clockEnd == 0 {
-		return 0
-	}
-	return float64(r.decodeTokens) / r.clockEnd
-}
-
-// utilisation renders each GPU's busy fraction as "u0/u1/…".
-func (r placementRun) utilisation() string {
-	if r.clockEnd == 0 {
-		return "-"
-	}
-	parts := make([]string, len(r.gpuBusy))
-	for d, busy := range r.gpuBusy {
-		parts[d] = fmt.Sprintf("%.0f%%", 100*busy/r.clockEnd)
-	}
-	return strings.Join(parts, "/")
-}
-
-// drivePlacement serves reqs through the HybriMoE stack planning with
-// the named intra-layer scheduler on an n-GPU A6000 platform.
-func drivePlacement(p Params, gpus int, schedName string, ratio float64, reqs []workload.Request) placementRun {
+// placementBox builds the box the placement study serves through: the
+// HybriMoE stack planning with the named intra-layer scheduler on an
+// n-GPU A6000 platform.
+func placementBox(p Params, gpus int, schedName string, ratio float64) *cluster.Cluster {
 	fw := engine.HybriMoEFramework()
 	fw.Sched = schedName
-	e, err := engine.New(moe.DeepSeek(), hw.MultiA6000Platform(gpus), fw,
+	return box(hw.MultiA6000Platform(gpus), fw, 3,
 		engine.WithCacheRatio(ratio), engine.WithSeed(p.Seed))
-	if err != nil {
-		panic(err)
-	}
-	s := e.NewSession(engine.WithMaxConcurrent(3))
-	s.Submit(reqs...)
-
-	r := placementRun{gpuBusy: make([]float64, gpus)}
-	var tbts []float64
-	s.Run(func(ev engine.StepEvent) {
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
-		for d, busy := range ev.GPUBusyByDevice {
-			r.gpuBusy[d] += busy
-		}
-		if ev.Phase == engine.PhaseDecode {
-			r.decodeTokens += ev.Tokens
-			tbts = append(tbts, ev.Latency)
-		}
-	})
-	r.tbt = report.Latencies(tbts)
-	r.hitRate = e.Caches().HitRate()
-	return r
 }
 
 // PlacementTopologies are the GPU counts the placement study sweeps.
@@ -109,9 +54,10 @@ func (s placementStudy) Cells(p Params) []Cell {
 				cells = append(cells, Cell{
 					Label: fmt.Sprintf("placement/%dgpu/%s/%.2f", gpus, schedName, ratio),
 					Run: func() []Row {
-						r := drivePlacement(p, gpus, schedName, ratio, reqs)
+						r := Drive(placementBox(p, gpus, schedName, ratio), reqs, nil)
+						tbt := report.Latencies(r.TBT)
 						return []Row{{gpus, schedName, ratio, r.decodeThroughput(),
-							r.tbt.P50, r.tbt.P95, r.hitRate, r.utilisation()}}
+							tbt.P50, tbt.P95, r.HitRate[0], r.utilisation()}}
 					},
 				})
 			}

@@ -16,8 +16,8 @@ func TestPlacementDualExpertParallelBeatsSingleGPU(t *testing.T) {
 	reqs := stream.NextN(6)
 	workload.CapDecode(reqs, p.DecodeSteps)
 
-	single := drivePlacement(p, 1, "hybrimoe", 0.25, reqs)
-	dual := drivePlacement(p, 2, "expert-parallel", 0.25, reqs)
+	single := Drive(placementBox(p, 1, "hybrimoe", 0.25), reqs, nil)
+	dual := Drive(placementBox(p, 2, "expert-parallel", 0.25), reqs, nil)
 	if dual.decodeThroughput() <= single.decodeThroughput() {
 		t.Fatalf("dual expert-parallel %.2f tok/s should beat single-GPU baseline %.2f tok/s",
 			dual.decodeThroughput(), single.decodeThroughput())
@@ -33,14 +33,14 @@ func TestPlacementSingleGPUPlannerTopologyInvariant(t *testing.T) {
 	reqs := stream.NextN(4)
 	workload.CapDecode(reqs, p.DecodeSteps)
 
-	single := drivePlacement(p, 1, "hybrimoe", 0.25, reqs)
-	dual := drivePlacement(p, 2, "hybrimoe", 0.25, reqs)
-	if single.clockEnd != dual.clockEnd || single.decodeTokens != dual.decodeTokens {
+	single := Drive(placementBox(p, 1, "hybrimoe", 0.25), reqs, nil)
+	dual := Drive(placementBox(p, 2, "hybrimoe", 0.25), reqs, nil)
+	if single.Makespan != dual.Makespan || single.DecodeTokens != dual.DecodeTokens {
 		t.Fatalf("hybrimoe run changed with an idle extra GPU: %v/%d vs %v/%d",
-			single.clockEnd, single.decodeTokens, dual.clockEnd, dual.decodeTokens)
+			single.Makespan, single.DecodeTokens, dual.Makespan, dual.DecodeTokens)
 	}
-	if dual.gpuBusy[1] != 0 {
-		t.Fatalf("single-GPU planner used GPU1 for %v seconds", dual.gpuBusy[1])
+	if dual.GPUBusy[1] != 0 {
+		t.Fatalf("single-GPU planner used GPU1 for %v seconds", dual.GPUBusy[1])
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/hw"
-	"hybrimoe/internal/moe"
 	"hybrimoe/internal/report"
 	"hybrimoe/internal/workload"
 )
@@ -35,10 +34,9 @@ func (servingStudy) Describe() string { return "End-to-end mixed-corpus serving 
 
 func (s servingStudy) Cells(p Params) []Cell {
 	platform := hw.A6000Platform()
-	cfg := moe.DeepSeek()
 
 	// One shared request sequence for every framework (read-only across
-	// cells; Session.Submit copies by value).
+	// cells; Submit copies by value).
 	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
 	reqs := stream.NextN(s.requests)
 	workload.CapDecode(reqs, p.DecodeSteps)
@@ -46,29 +44,15 @@ func (s servingStudy) Cells(p Params) []Cell {
 	var cells []Cell
 	for _, fw := range engine.AllFrameworks() {
 		cells = append(cells, Cell{Label: "serving/" + fw.Name, Run: func() []Row {
-			e, err := engine.New(cfg, platform, fw,
-				engine.WithCacheRatio(s.ratio), engine.WithSeed(p.Seed))
-			if err != nil {
-				panic(err)
-			}
 			// Two requests in flight so prefill and decode genuinely
 			// interleave, the way a continuously-batched server mixes
 			// phases.
-			ses := e.NewSession(engine.WithMaxConcurrent(2))
-			ses.Submit(reqs...)
-			var ttfts, tbts []float64
-			ses.Run(func(ev engine.StepEvent) {
-				switch ev.Phase {
-				case engine.PhasePrefill:
-					ttfts = append(ttfts, ev.Latency)
-				case engine.PhaseDecode:
-					tbts = append(tbts, ev.Latency)
-				}
-			})
-			ttft := report.Latencies(ttfts)
-			tbt := report.Latencies(tbts)
+			r := Drive(box(platform, fw, 2,
+				engine.WithCacheRatio(s.ratio), engine.WithSeed(p.Seed)), reqs, nil)
+			ttft := report.Latencies(r.Forward)
+			tbt := report.Latencies(r.TBT)
 			return []Row{{fw.Name, ttft.Mean, ttft.P50, ttft.P95, ttft.P99,
-				tbt.P50, tbt.P95, tbt.P99, e.Caches().HitRate()}}
+				tbt.P50, tbt.P95, tbt.P99, r.HitRate[0]}}
 		}})
 	}
 	return cells
@@ -78,98 +62,6 @@ func (servingStudy) Render(_ Params, results [][]Row) Renderable {
 	return tableFromCells("Serving study: mixed corpus stream, end-to-end",
 		[]string{"framework", "mean-TTFT(s)", "p50-TTFT(s)", "p95-TTFT(s)", "p99-TTFT(s)",
 			"p50-TBT(s)", "p95-TBT(s)", "p99-TBT(s)", "hit-rate"}, results)
-}
-
-// classStats aggregates one SLO class's outcomes within a run.
-type classStats struct {
-	completed, violated, shed int
-}
-
-// policyRun aggregates one scheduler × admission serving run.
-type policyRun struct {
-	completed, onTime, violated, shed int
-	clockEnd                          float64
-	ttft, tbt                         report.LatencyStats
-	// completion records each completed request's finish clock.
-	completion map[int]float64
-	// byClass slices completions, violations and sheds per SLO class
-	// (keyed by workload.Request.Class, echoed on every StepEvent).
-	byClass map[string]*classStats
-}
-
-// class returns (allocating on demand) the accumulator for label c.
-func (r *policyRun) class(c string) *classStats {
-	s, ok := r.byClass[c]
-	if !ok {
-		s = &classStats{}
-		r.byClass[c] = s
-	}
-	return s
-}
-
-// classViolationRate reports violated/completed for class c.
-func (r *policyRun) classViolationRate(c string) float64 {
-	s := r.byClass[c]
-	if s == nil || s.completed == 0 {
-		return 0
-	}
-	return float64(s.violated) / float64(s.completed)
-}
-
-// drivePolicy serves reqs through a fresh HybriMoE engine under the
-// named request scheduler and optional admission policy.
-func drivePolicy(p Params, ratio float64, reqs []workload.Request,
-	schedName string, adm engine.AdmissionPolicy) policyRun {
-	opts := []engine.Option{
-		engine.WithCacheRatio(ratio),
-		engine.WithSeed(p.Seed),
-		engine.WithRequestScheduler(schedName),
-	}
-	if adm != nil {
-		opts = append(opts, engine.WithAdmission(adm))
-	}
-	e, err := engine.New(moe.DeepSeek(), hw.A6000Platform(), engine.HybriMoEFramework(), opts...)
-	if err != nil {
-		panic(err)
-	}
-	s := e.NewSession(engine.WithMaxConcurrent(3))
-	s.Submit(reqs...)
-
-	r := policyRun{completion: make(map[int]float64), byClass: make(map[string]*classStats)}
-	var ttfts, tbts []float64
-	s.Run(func(ev engine.StepEvent) {
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
-		switch ev.Phase {
-		case engine.PhasePrefill:
-			ttfts = append(ttfts, ev.Latency)
-		case engine.PhaseDecode:
-			tbts = append(tbts, ev.Latency)
-		case engine.PhaseShed:
-			r.shed++
-			r.class(ev.Class).shed++
-			return
-		default:
-			return
-		}
-		if ev.Done {
-			r.completed++
-			r.class(ev.Class).completed++
-			r.completion[ev.Request] = ev.End
-			if ev.Deadline > 0 {
-				if ev.End <= ev.Deadline {
-					r.onTime++
-				} else {
-					r.violated++
-					r.class(ev.Class).violated++
-				}
-			}
-		}
-	})
-	r.ttft = report.Latencies(ttfts)
-	r.tbt = report.Latencies(tbts)
-	return r
 }
 
 // ServingPolicyStudy compares request schedulers and admission policies
@@ -228,18 +120,19 @@ func (s servingPolicyStudy) Cells(p Params) []Cell {
 	// speed, decides who meets it. The admission guard targets the
 	// baseline's p50 TTFT as its p95 budget with a low shed factor, a
 	// deliberately strained SLO that forces shed/defer verdicts.
-	base := drivePolicy(p, s.ratio, reqs, "round-robin", nil)
+	base := Drive(hybriBox(p, s.ratio, 3, "round-robin", "none", nil), reqs, nil)
 	for i := range reqs {
 		slack := 0.9
 		if i%2 == 1 {
 			slack = 1.15
 		}
-		reqs[i].Deadline = slack * base.completion[reqs[i].ID]
+		reqs[i].Deadline = slack * base.DoneAt[reqs[i].ID]
 	}
+	ttft, tbt := report.Latencies(base.Forward), report.Latencies(base.TBT)
 	adm := func() engine.AdmissionPolicy {
 		return &engine.SLOAdmission{
-			TTFTp95:    base.ttft.P50,
-			TBTp95:     base.tbt.P95,
+			TTFTp95:    ttft.P50,
+			TBTp95:     tbt.P95,
 			MinSamples: 4,
 			ShedFactor: 1.2,
 		}
@@ -255,30 +148,14 @@ func (s servingPolicyStudy) Cells(p Params) []Cell {
 					policy = adm()
 					admName = policy.Name()
 				}
-				r := drivePolicy(p, s.ratio, reqs, schedName, policy)
-				goodput, violRate := 0.0, 0.0
-				if r.clockEnd > 0 {
-					goodput = float64(r.onTime) / r.clockEnd
-				}
-				if r.completed > 0 {
-					violRate = float64(r.violated) / float64(r.completed)
-				}
-				shedRate := func(c string) float64 {
-					if offered[c] == 0 {
-						return 0
-					}
-					cs := r.byClass[c]
-					if cs == nil {
-						return 0
-					}
-					return float64(cs.shed) / float64(offered[c])
-				}
-				return []Row{{schedName, admName, r.completed, r.shed,
-					goodput, violRate, float64(r.shed) / float64(len(reqs)),
+				r := Drive(hybriBox(p, s.ratio, 3, schedName, "none", policy), reqs, nil)
+				return []Row{{schedName, admName, r.Completed, r.Shed,
+					r.onTimeGoodput(), r.violationRate(), r.shedFraction(),
 					fmt.Sprintf("%.2f/%.2f",
 						r.classViolationRate("interactive"), r.classViolationRate("batch")),
-					fmt.Sprintf("%.2f/%.2f", shedRate("interactive"), shedRate("batch")),
-					r.ttft.P95, r.tbt.P95}}
+					fmt.Sprintf("%.2f/%.2f", r.classShedRate("interactive", offered["interactive"]),
+						r.classShedRate("batch", offered["batch"])),
+					report.Latencies(r.Forward).P95, report.Latencies(r.TBT).P95}}
 			}})
 		}
 	}
