@@ -355,7 +355,7 @@ func BenchmarkQuantMatVec(b *testing.B) {
 	rng := stats.NewRNG(7)
 	m := tensor.NewMatrix(256, 512)
 	m.FillRandom(rng)
-	q := quant.Quantize(m, 128)
+	q := quant.Quantize(m, 4, 128)
 	x := make([]float32, 512)
 	for i := range x {
 		x[i] = float32(rng.NormMeanStd(0, 1))

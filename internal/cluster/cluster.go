@@ -571,7 +571,8 @@ func (c *Cluster) Deferred() int { return c.deferred }
 func (c *Cluster) Rerouted() int { return c.rerouted }
 
 // Lost reports how many in-flight requests died with their replica —
-// work that had started compute and could not be reclaimed.
+// work that had started compute and could not be reclaimed, including
+// requests whose Done event was still queued on the box.
 func (c *Cluster) Lost() int { return c.lost }
 
 // RouterName reports the dispatch policy steering this cluster.

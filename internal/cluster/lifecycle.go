@@ -153,7 +153,9 @@ func (c *Cluster) applyLife(a lifeAction, at float64) {
 // per request, original arrival stamps intact — the wait on the dead
 // box lands in queue-inclusive TTFT when the request finally runs),
 // its in-flight requests are abandoned (counted by Lost; their state
-// cannot move), and a ReplicaDead event records the moment with the
+// cannot move), requests whose Done event is still queued on the box
+// count as lost too (their results never left it, and their events are
+// dropped), and a ReplicaDead event records the moment with the
 // abandoned count in Tokens.
 func (c *Cluster) kill(i int, at float64) {
 	r := c.replicas[i]
@@ -162,7 +164,7 @@ func (c *Cluster) kill(i int, at float64) {
 	}
 	r.state = StateDead
 	reclaimed := r.ses.Reclaim()
-	lost := r.ses.Pending()
+	lost := r.ses.Pending() + r.ses.DropQueued()
 	c.lost += lost
 	c.queue = append(c.queue, Event{Replica: i, Kind: EventReplicaDead, StepEvent: engine.StepEvent{
 		Start: at, End: at, Tokens: lost,

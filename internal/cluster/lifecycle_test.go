@@ -343,6 +343,50 @@ func TestClusterBatchedChurnConserves(t *testing.T) {
 	}
 }
 
+// TestClusterBatchedChurnLosesQueuedDone pins the failure points where
+// replica 1 dies (or its stall is detected) while trailing members of
+// its last merged batch still have Done events queued: those results
+// never left the box, so they count toward Lost and are never emitted
+// after the ReplicaDead event.
+func TestClusterBatchedChurnLosesQueuedDone(t *testing.T) {
+	for _, pt := range []struct {
+		seed uint64
+		at   float64
+	}{{1, 0.78}, {3, 0.81}} {
+		reqs := burstRequests(pt.seed, 24, 16)
+		for _, kind := range []FailureKind{FailStall, FailDeath} {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("seed=%d/%v@%v/workers=%d", pt.seed, kind, pt.at, workers), func(t *testing.T) {
+					c, err := New(
+						WithReplicas(3), WithRouter("round-robin"), WithSeed(pt.seed),
+						WithBuilder(buildReplica(t, pt.seed, engine.WithBatchPolicy("greedy", 256))),
+						WithMaxConcurrent(4),
+						WithFailure(1, pt.at, kind),
+						WithWorkers(workers))
+					if err != nil {
+						t.Fatal(err)
+					}
+					c.Submit(reqs...)
+					var evs []Event
+					dead := false
+					c.Run(func(ev Event) {
+						if ev.Replica == 1 && ev.Kind == EventReplicaDead {
+							dead = true
+						} else if dead && ev.Replica == 1 && ev.Kind == EventStep {
+							t.Errorf("replica 1 emitted request %d after its death", ev.Request)
+						}
+						evs = append(evs, ev)
+					})
+					if !dead || c.Lost() == 0 {
+						t.Fatalf("dead=%v lost=%d: the failure missed the queued-Done window", dead, c.Lost())
+					}
+					checkConservation(t, c, evs, len(reqs))
+				})
+			}
+		}
+	}
+}
+
 // TestClusterStrandedFleet pins the terminal case: when every replica
 // is dead and no lifecycle action can restore capacity, Run returns
 // with the undeliverable arrivals still pending rather than spinning.

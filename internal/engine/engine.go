@@ -402,15 +402,13 @@ func (e *Engine) runStep(acts []trace.LayerActivation, tokens, context int, perL
 		e.tasks = sched.AppendTasks(e.tasks[:0], e.cfg, act.Layer, act.Loads, e.residentOn)
 		tasks := e.tasks
 		res := sched.Resources{
-			CPUFree:   maxF(0, e.cpuBusy-layerStart),
-			GPUFree:   maxF(0, e.gpuBusy[0]-layerStart),
-			LinkFree:  maxF(0, e.linkBusy[0]-layerStart),
-			GPUFrees:  e.gpuFrees,
-			LinkFrees: e.linkFrees,
+			CPUFree:  maxF(0, e.cpuBusy-layerStart),
+			GPUFree:  e.gpuFrees,
+			LinkFree: e.linkFrees,
 		}
 		for d := range e.gpuBusy {
-			res.GPUFrees[d] = maxF(0, e.gpuBusy[d]-layerStart)
-			res.LinkFrees[d] = maxF(0, e.linkBusy[d]-layerStart)
+			res.GPUFree[d] = maxF(0, e.gpuBusy[d]-layerStart)
+			res.LinkFree[d] = maxF(0, e.linkBusy[d]-layerStart)
 		}
 		plan := e.scheduler.Plan(tasks, e.platform, res)
 		if e.set.validatePlans {

@@ -420,29 +420,11 @@ func (s *Session) Reclaim() []workload.Request {
 	}
 	var out []taken
 
-	// Scheduled arrivals: rebuild the timeline without them. Popping in
-	// (stamp, push) order and re-pushing preserves the relative order of
-	// the surviving entries.
+	// Scheduled arrivals.
 	if s.future > 0 {
-		type kept struct {
-			at float64
-			ev sessionEvent
-		}
-		var keep []kept
-		for {
-			at, e, ok := s.events.PopMin()
-			if !ok {
-				break
-			}
-			if e.kind == evArrival {
-				s.future--
-				out = append(out, taken{e.req.submitSeq, e.req.req})
-				continue
-			}
-			keep = append(keep, kept{at, e})
-		}
-		for _, k := range keep {
-			s.events.Push(k.at, k.ev)
+		for _, e := range s.removeEvents(evArrival) {
+			s.future--
+			out = append(out, taken{e.req.submitSeq, e.req.req})
 		}
 	}
 
@@ -481,6 +463,49 @@ func (s *Session) Reclaim() []workload.Request {
 		reqs[i] = t.req
 	}
 	return reqs
+}
+
+// DropQueued discards every emission still queued — the trailing
+// members of a merged batch, admission records — and returns how many
+// of them were a compute step's Done event. A driver retiring a session
+// whose box failed calls it after Reclaim: those results never left
+// the box, so the requests they finished are lost, not delivered.
+// (Dropped shed records stay counted by Shed.)
+func (s *Session) DropQueued() (done int) {
+	for _, e := range s.removeEvents(evEmit) {
+		if e.ev.Done && e.ev.Phase != PhaseShed {
+			done++
+		}
+	}
+	return done
+}
+
+// removeEvents takes every timeline entry of the given kind off the
+// timeline and returns them in (stamp, push) order. Popping in that
+// order and re-pushing the rest preserves the relative order of the
+// surviving entries.
+func (s *Session) removeEvents(kind sessionEventKind) []sessionEvent {
+	type kept struct {
+		at float64
+		ev sessionEvent
+	}
+	var keep []kept
+	var out []sessionEvent
+	for {
+		at, e, ok := s.events.PopMin()
+		if !ok {
+			break
+		}
+		if e.kind == kind {
+			out = append(out, e)
+			continue
+		}
+		keep = append(keep, kept{at, e})
+	}
+	for _, k := range keep {
+		s.events.Push(k.at, k.ev)
+	}
+	return out
 }
 
 // Steps reports how many step events the session has emitted,

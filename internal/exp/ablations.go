@@ -140,25 +140,16 @@ func AblationCPUWarmup(p Params) *report.Table {
 // platform, checking the result shape holds beyond the paper's testbed:
 // one cell per model, each running the kTransformers and HybriMoE
 // decode pair.
-type platformStudy struct{}
-
-func (platformStudy) ID() string       { return "platform" }
-func (platformStudy) Describe() string { return "Laptop-class platform sweep" }
-
-func (platformStudy) Cells(p Params) []Cell {
+func platformStudy(p Params) *report.Table {
 	platform := hw.LaptopPlatform()
 	var cells []Cell
 	for _, cfg := range moe.AllModels() {
-		cells = append(cells, Cell{Label: "platform/" + cfg.Name, Run: func() []Row {
+		cells = append(cells, func() []Row {
 			kt := mustEngine(cfg, platform, engine.KTransformersFramework(), 0.25, p.Seed).RunDecode(p.DecodeSteps).Mean()
 			hy := mustEngine(cfg, platform, engine.HybriMoEFramework(), 0.25, p.Seed).RunDecode(p.DecodeSteps).Mean()
 			return []Row{{cfg.Name, kt, hy, kt / hy}}
-		}})
+		})
 	}
-	return cells
-}
-
-func (platformStudy) Render(_ Params, results [][]Row) Renderable {
-	return tableFromCells("Platform sweep: decode TBT on laptop-class hardware (25% cache)",
-		[]string{"model", "KTrans(s)", "HybriMoE(s)", "speedup"}, results)
+	return gridTable(p, "Platform sweep: decode TBT on laptop-class hardware (25% cache)",
+		[]string{"model", "KTrans(s)", "HybriMoE(s)", "speedup"}, cells)
 }

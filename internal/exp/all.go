@@ -17,12 +17,11 @@ type Experiment struct {
 	Run  func(Params) Renderable
 }
 
-// Registry lists every reproducible table/figure, in paper order:
-// the figure/ablation drivers first, then every grid Study through the
-// studyExperiment adapter (so Lookup and RunAll treat both uniformly;
-// studies additionally run their cells on the parallel sweep runner).
+// Registry lists every reproducible table/figure, in paper order: the
+// figure/ablation drivers first, then the grid studies, which run their
+// cells on the parallel sweep runner at the scales listed here.
 func Registry() []Experiment {
-	exps := []Experiment{
+	return []Experiment{
 		{"fig3a", "Activation frequency CDF (neurons vs experts)", func(p Params) Renderable { return Fig3a(p) }},
 		{"fig3b", "Expert reuse probability by score rank", func(p Params) Renderable { return Fig3b(p) }},
 		{"fig3c", "Prefill expert workload distribution", func(p Params) Renderable { return Fig3c(p) }},
@@ -37,11 +36,17 @@ func Registry() []Experiment {
 		{"abl-window", "Prefetch lookahead window ablation", func(p Params) Renderable { return AblationLookahead(p) }},
 		{"abl-prefetch", "Prefetch policy ablation", func(p Params) Renderable { return AblationPrefetchPolicy(p) }},
 		{"abl-warmup", "CPU warm-up modelling ablation", func(p Params) Renderable { return AblationCPUWarmup(p) }},
+		{"platform", "Laptop-class platform sweep", func(p Params) Renderable { return platformStudy(p) }},
+		{"serving", "End-to-end mixed-corpus serving study", func(p Params) Renderable { return ServingStudy(p, 10, 0.25) }},
+		{"serving-policy", "Request schedulers × SLO admission comparison", func(p Params) Renderable { return ServingPolicyStudy(p, 10, 0.25) }},
+		{"batching", "Continuous-batching policies × concurrency", func(p Params) Renderable { return BatchingStudy(p, 12, 0.25) }},
+		{"open-loop", "Open-loop Poisson arrivals × scheduler × batch former", func(p Params) Renderable { return OpenLoopStudy(p, 10, 0.25) }},
+		{"placement", "Multi-GPU placement: topology × scheduler × cache ratio", func(p Params) Renderable { return placementStudy(p, 8) }},
+		{"fleet", "Multi-replica fleet: routers × Poisson arrival rate", func(p Params) Renderable { return FleetStudy(p, 16, []int{2, 4}, 0.25) }},
+		{"fleet-churn", "Fleet churn: stall/scale-up scenarios × router, recovery and re-warm cost", func(p Params) Renderable { return fleetChurnStudy(p, 24, 3, 0.25) }},
+		{"disagg", "Disaggregated serving: pool split × arrival rate, TBT isolation vs migration cost", func(p Params) Renderable { return disaggStudy(p, 18, 0.25) }},
+		{"precision", "INT4 vs INT8 offloading trade-off", func(p Params) Renderable { return precisionStudy(p) }},
 	}
-	for _, s := range Studies() {
-		exps = append(exps, studyExperiment(s))
-	}
-	return exps
 }
 
 // Lookup finds an experiment by ID.

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"hybrimoe/internal/report"
 	"hybrimoe/internal/workload"
 )
@@ -22,43 +20,22 @@ const BatchBudget = 256
 // flat; the TBT percentiles show what each policy charges a single
 // token for the extra sharing.
 func BatchingStudy(p Params, requests int, ratio float64) *report.Table {
-	return runTable(batchingStudy{requests: requests, ratio: ratio}, p)
-}
-
-// batchingStudy is BatchingStudy as a runner-iterated grid: one cell
-// per batch former × concurrency point, all serving one shared stream.
-type batchingStudy struct {
-	requests int
-	ratio    float64
-}
-
-func (batchingStudy) ID() string       { return "batching" }
-func (batchingStudy) Describe() string { return "Continuous-batching policies × concurrency" }
-
-func (s batchingStudy) Cells(p Params) []Cell {
 	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
-	reqs := stream.NextN(s.requests)
+	reqs := stream.NextN(requests)
 	workload.CapDecode(reqs, p.DecodeSteps)
 
 	var cells []Cell
 	for _, policy := range []string{"none", "greedy", "phase-aware"} {
 		for _, concurrent := range []int{1, 4, 8} {
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("batching/%s/x%d", policy, concurrent),
-				Run: func() []Row {
-					r := Drive(hybriBox(p, s.ratio, concurrent, "round-robin", policy, nil), reqs, nil)
-					tbt := report.Latencies(r.TBT)
-					return []Row{{policy, concurrent, r.decodeThroughput(),
-						tbt.P50, tbt.P95, report.Latencies(r.Forward).P95, r.MeanBatch(), r.Makespan}}
-				},
+			cells = append(cells, func() []Row {
+				r := Drive(hybriBox(p, ratio, concurrent, "round-robin", policy, nil), reqs, nil)
+				tbt := report.Latencies(r.TBT)
+				return []Row{{policy, concurrent, r.decodeThroughput(),
+					tbt.P50, tbt.P95, report.Latencies(r.Forward).P95, r.MeanBatch(), r.Makespan}}
 			})
 		}
 	}
-	return cells
-}
-
-func (batchingStudy) Render(_ Params, results [][]Row) Renderable {
-	return tableFromCells("Batching study: batch formers × concurrency (HybriMoE)",
+	return gridTable(p, "Batching study: batch formers × concurrency (HybriMoE)",
 		[]string{"batch", "concurrent", "decode-tok/s", "p50-TBT(s)", "p95-TBT(s)",
-			"p95-TTFT(s)", "mean-batch", "sim-time(s)"}, results)
+			"p95-TTFT(s)", "mean-batch", "sim-time(s)"}, cells)
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // disaggConfigs is the pool grid the study contrasts, mixed baseline
-// first in each rate group so Render can anchor the isolation delta.
+// first in each rate group so disaggTable can anchor the isolation
+// delta.
 func disaggConfigs() []cluster.PoolSpec {
 	return []cluster.PoolSpec{
 		{},                      // mixed: every replica serves both stages
@@ -16,6 +17,14 @@ func disaggConfigs() []cluster.PoolSpec {
 		{Prefill: 2, Decode: 1}, // prefill-heavy split
 	}
 }
+
+// disaggReplicas is the fixed fleet size the split grid divides.
+const disaggReplicas = 3
+
+// disaggGapCol is the p95 inter-token-gap column index in the rows the
+// study's cells emit, which disaggTable reads back to compute
+// isolation deltas.
+const disaggGapCol = 7
 
 // disaggStudy sweeps pool split × Poisson arrival rate on a fixed
 // 3-replica fleet, contrasting mixed colocation against
@@ -37,49 +46,32 @@ func disaggConfigs() []cluster.PoolSpec {
 // spread over all three boxes. Disaggregation buys steady token
 // cadence with prefill throughput, the trade the paper's serving
 // problem turns on.
-type disaggStudy struct {
-	requests int
-	ratio    float64
-}
-
-func (disaggStudy) ID() string { return "disagg" }
-func (disaggStudy) Describe() string {
-	return "Disaggregated serving: pool split × arrival rate, TBT isolation vs migration cost"
-}
-
-// disaggReplicas is the fixed fleet size the split grid divides.
-const disaggReplicas = 3
-
-// disaggGapCol is the p95 inter-token-gap column index in the rows
-// Cells emits, which Render reads back to compute isolation deltas.
-const disaggGapCol = 7
-
-func (s disaggStudy) Cells(p Params) []Cell {
-	base := Drive(fleet(p, s.ratio, 1, "round-robin"), fleetRequests(p, s.requests, 0), nil)
+func disaggStudy(p Params, requests int, ratio float64) *report.Table {
+	base := Drive(fleet(p, ratio, 1, "round-robin"), fleetRequests(p, requests, 0), nil)
 	perReplica := float64(base.Completed) / base.Makespan
 
-	// Rate-major, config-minor grid (mixed first per rate) — Render
+	// Rate-major, config-minor grid (mixed first per rate) — disaggTable
 	// leans on this order to pair each split with its mixed baseline.
 	var cells []Cell
 	for _, mult := range []float64{1.2, 2.4} {
 		rate := mult * perReplica * disaggReplicas
-		reqs := fleetRequests(p, s.requests, rate)
+		reqs := fleetRequests(p, requests, rate)
 		for _, spec := range disaggConfigs() {
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("disagg/%s/%.3g", spec, rate),
-				Run: func() []Row {
-					r := Drive(fleet(p, s.ratio, disaggReplicas, "affinity", cluster.WithPools(spec)), reqs, nil)
-					return []Row{{spec.String(), rate, r.Completed, r.goodput(),
-						r.Handoffs, r.warmFrac(), report.Latencies(r.TTFT).P95,
-						report.Latencies(r.Gaps).P95, r.Makespan}}
-				},
+			cells = append(cells, func() []Row {
+				r := Drive(fleet(p, ratio, disaggReplicas, "affinity", cluster.WithPools(spec)), reqs, nil)
+				return []Row{{spec.String(), rate, r.Completed, r.goodput(),
+					r.Handoffs, r.warmFrac(), report.Latencies(r.TTFT).P95,
+					report.Latencies(r.Gaps).P95, r.Makespan}}
 			})
 		}
 	}
-	return cells
+	return disaggTable(runCells(p, cells))
 }
 
-func (s disaggStudy) Render(_ Params, results [][]Row) Renderable {
+// disaggTable renders the study's per-cell rows, inserting each row's
+// isolation delta: the p95 gap of its rate group's leading mixed row
+// minus its own.
+func disaggTable(results [][]Row) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Disaggregation study: pool split × Poisson rate, %d replicas (affinity router, priced KV migration)", disaggReplicas),
 		"pools", "rate(req/s)", "completed", "goodput(req/s)", "handoffs",

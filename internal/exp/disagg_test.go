@@ -63,7 +63,7 @@ func TestDisaggRenderAnchorsMixedDelta(t *testing.T) {
 		mk("mixed", 0.5), mk("1:2", 0.25), mk("2:1", 0.75),
 		mk("mixed", 4.0), mk("1:2", 2.0), mk("2:1", 8.0),
 	}
-	out := renderString(disaggStudy{}.Render(DefaultParams(), results))
+	out := disaggTable(results).String()
 	if !strings.Contains(out, "isolation-delta(s)") {
 		t.Fatalf("render lost the isolation-delta column:\n%s", out)
 	}
@@ -75,20 +75,18 @@ func TestDisaggRenderAnchorsMixedDelta(t *testing.T) {
 }
 
 // TestDisaggStudyGridShape pins the grid: rate-major, config-minor with
-// the mixed baseline leading every rate group — the order Render's
-// delta anchoring depends on.
+// the mixed baseline leading every rate group — the order disaggTable's
+// delta anchoring depends on — read off the rendered pools column.
 func TestDisaggStudyGridShape(t *testing.T) {
-	cells := disaggStudy{requests: 4, ratio: 0.25}.Cells(QuickParams())
-	group := len(disaggConfigs())
-	if len(cells) != 2*group {
-		t.Fatalf("%d cells, want %d (2 rates × %d configs)", len(cells), 2*group, group)
+	out := disaggStudy(QuickParams(), 4, 0.25).String()
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	var pools []string
+	for _, line := range lines[3:] { // title, header, rule
+		pools = append(pools, strings.Fields(line)[0])
 	}
-	for i, c := range cells {
-		wantMixed := i%group == 0
-		isMixed := strings.Contains(c.Label, "/mixed/")
-		if wantMixed != isMixed {
-			t.Fatalf("cell %d label %q breaks the mixed-first group order", i, c.Label)
-		}
+	const want = "mixed,1:2,2:1,mixed,1:2,2:1" // 2 rates × mixed-first configs
+	if got := strings.Join(pools, ","); got != want {
+		t.Fatalf("pools column %s, want %s:\n%s", got, want, out)
 	}
 }
 

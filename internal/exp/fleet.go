@@ -84,53 +84,33 @@ func fleetRequests(p Params, requests int, rate float64) []workload.Request {
 // less and shed less under the same guard. With only two replicas the
 // readiness signal has almost no choice to exploit and the routers
 // mostly coincide.
-func FleetStudy(p Params, requests int, replicaCounts []int, ratio float64) *report.Table {
-	return runTable(fleetStudy{requests: requests, replicaCounts: replicaCounts, ratio: ratio}, p)
-}
-
-// fleetStudy is FleetStudy as a runner-iterated grid: the
-// single-replica calibration runs serially in Cells, then one cell per
+//
+// The single-replica calibration runs serially, then one cell per
 // replicas × rate × router point. Each (replicas, rate) pair draws its
 // request stream once, shared read-only across that pair's router
 // cells.
-type fleetStudy struct {
-	requests      int
-	replicaCounts []int
-	ratio         float64
-}
-
-func (fleetStudy) ID() string       { return "fleet" }
-func (fleetStudy) Describe() string { return "Multi-replica fleet: routers × Poisson arrival rate" }
-
-func (s fleetStudy) Cells(p Params) []Cell {
+func FleetStudy(p Params, requests int, replicaCounts []int, ratio float64) *report.Table {
 	// Single-replica closed-loop calibration: capacity in completions
 	// per busy second, and the unqueued forward p95 for the SLO target.
-	base := Drive(fleet(p, s.ratio, 1, "round-robin"), fleetRequests(p, s.requests, 0), nil)
+	base := Drive(fleet(p, ratio, 1, "round-robin"), fleetRequests(p, requests, 0), nil)
 	perReplica := float64(base.Completed) / base.Makespan
 	adm := fleetGuard(report.Latencies(base.TTFT).P95)
 
 	var cells []Cell
-	for _, n := range s.replicaCounts {
+	for _, n := range replicaCounts {
 		for _, mult := range []float64{1.5, 4} {
 			rate := mult * perReplica * float64(n)
-			reqs := fleetRequests(p, s.requests, rate)
+			reqs := fleetRequests(p, requests, rate)
 			for _, routerName := range cluster.RouterNames() {
-				cells = append(cells, Cell{
-					Label: fmt.Sprintf("fleet/%dx/%s/%.3g", n, routerName, rate),
-					Run: func() []Row {
-						r := Drive(fleet(p, s.ratio, n, routerName, cluster.WithAdmission(adm())), reqs, nil)
-						return []Row{{n, routerName, rate, r.Completed, r.shedFraction(),
-							r.goodput(), report.Latencies(r.TTFT).P95, r.Makespan, fmt.Sprint(r.Routed)}}
-					},
+				cells = append(cells, func() []Row {
+					r := Drive(fleet(p, ratio, n, routerName, cluster.WithAdmission(adm())), reqs, nil)
+					return []Row{{n, routerName, rate, r.Completed, r.shedFraction(),
+						r.goodput(), report.Latencies(r.TTFT).P95, r.Makespan, fmt.Sprint(r.Routed)}}
 				})
 			}
 		}
 	}
-	return cells
-}
-
-func (fleetStudy) Render(_ Params, results [][]Row) Renderable {
-	return tableFromCells("Fleet study: replicas × router × Poisson arrival rate (HybriMoE)",
+	return gridTable(p, "Fleet study: replicas × router × Poisson arrival rate (HybriMoE)",
 		[]string{"replicas", "router", "rate(req/s)", "completed", "shed-fraction",
-			"goodput(req/s)", "p95-TTFT(s)", "makespan(s)", "routed"}, results)
+			"goodput(req/s)", "p95-TTFT(s)", "makespan(s)", "routed"}, cells)
 }

@@ -33,6 +33,11 @@ func churnScenarios() []churnScenario {
 	}
 }
 
+// churnRouters are the two dispatch policies the churn grid contrasts:
+// lease-blind rotation (keeps feeding a silently stalled replica until
+// detection) against lease- and readiness-aware affinity.
+var churnRouters = []string{"round-robin", "affinity"}
+
 // fleetChurnStudy sweeps churn scenario × router on a fixed fleet: a
 // steady baseline, a mid-run replica stall (detected by lease expiry,
 // its queue re-routed), and the same stall answered by a cold standby —
@@ -57,58 +62,36 @@ func churnScenarios() []churnScenario {
 // lease expiry (DefaultLeaseTTL plus jitter), so by detection the cold
 // joiner is Serving and absorbs part of the displaced queue — which is
 // exactly when its untrustworthy PredictedResidency matters.
-type fleetChurnStudy struct {
-	requests, replicas int
-	ratio              float64
-}
-
-func (fleetChurnStudy) ID() string { return "fleet-churn" }
-func (fleetChurnStudy) Describe() string {
-	return "Fleet churn: stall/scale-up scenarios × router, recovery and re-warm cost"
-}
-
-// churnRouters are the two dispatch policies the churn grid contrasts:
-// lease-blind rotation (keeps feeding a silently stalled replica until
-// detection) against lease- and readiness-aware affinity.
-var churnRouters = []string{"round-robin", "affinity"}
-
-func (s fleetChurnStudy) Cells(p Params) []Cell {
-	base := Drive(fleet(p, s.ratio, 1, "round-robin"), fleetRequests(p, s.requests, 0), nil)
+func fleetChurnStudy(p Params, requests, replicas int, ratio float64) *report.Table {
+	base := Drive(fleet(p, ratio, 1, "round-robin"), fleetRequests(p, requests, 0), nil)
 	perReplica := float64(base.Completed) / base.Makespan
 	// 1.2x aggregate capacity: enough overload that a lost replica digs
 	// a visible backlog, low enough that arrivals outlast the re-warm.
-	rate := 1.2 * perReplica * float64(s.replicas)
-	reqs := fleetRequests(p, s.requests, rate)
+	rate := 1.2 * perReplica * float64(replicas)
+	reqs := fleetRequests(p, requests, rate)
 
-	span := Drive(fleet(p, s.ratio, s.replicas, "round-robin"), reqs, nil).Makespan
+	span := Drive(fleet(p, ratio, replicas, "round-robin"), reqs, nil).Makespan
 	stallAt := 0.3 * span
 	scaleAt := stallAt
 
 	var cells []Cell
 	for _, sc := range churnScenarios() {
 		for _, routerName := range churnRouters {
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("fleet-churn/%s/%s", sc.name, routerName),
-				Run: func() []Row {
-					anchor := 0.0
-					if sc.stalls {
-						anchor = stallAt
-					}
-					r := Drive(fleet(p, s.ratio, s.replicas, routerName, sc.opts(stallAt, scaleAt)...), reqs, nil)
-					coldHit, warmHit := r.hitSplit(s.replicas)
-					return []Row{{sc.name, routerName, r.Completed, r.Rerouted, r.Lost,
-						r.goodput(), r.dipDepth(anchor), r.recovery(), report.Latencies(r.TTFT).P95,
-						r.routedFrom(s.replicas), coldHit, warmHit}}
-				},
+			cells = append(cells, func() []Row {
+				anchor := 0.0
+				if sc.stalls {
+					anchor = stallAt
+				}
+				r := Drive(fleet(p, ratio, replicas, routerName, sc.opts(stallAt, scaleAt)...), reqs, nil)
+				coldHit, warmHit := r.hitSplit(replicas)
+				return []Row{{sc.name, routerName, r.Completed, r.Rerouted, r.Lost,
+					r.goodput(), r.dipDepth(anchor), r.recovery(), report.Latencies(r.TTFT).P95,
+					r.routedFrom(replicas), coldHit, warmHit}}
 			})
 		}
 	}
-	return cells
-}
-
-func (s fleetChurnStudy) Render(_ Params, results [][]Row) Renderable {
-	return tableFromCells(
-		fmt.Sprintf("Fleet churn study: scenario × router, %d replicas (stall at 0.3 span, standby scale-up at the stall)", s.replicas),
+	return gridTable(p,
+		fmt.Sprintf("Fleet churn study: scenario × router, %d replicas (stall at 0.3 span, standby scale-up at the stall)", replicas),
 		[]string{"scenario", "router", "completed", "rerouted", "lost", "goodput(req/s)",
-			"dip-depth", "recovery(s)", "p95-TTFT(s)", "cold-routed", "cold-hit", "warm-hit"}, results)
+			"dip-depth", "recovery(s)", "p95-TTFT(s)", "cold-routed", "cold-hit", "warm-hit"}, cells)
 }

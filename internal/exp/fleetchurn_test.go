@@ -130,7 +130,7 @@ func TestFleetChurnStudyRendersEveryScenario(t *testing.T) {
 		t.Skip("full study render skipped in -short")
 	}
 	p := QuickParams()
-	table := runTable(fleetChurnStudy{requests: 24, replicas: 3, ratio: 0.25}, p)
+	table := fleetChurnStudy(p, 24, 3, 0.25)
 	var sb strings.Builder
 	table.Render(&sb)
 	out := sb.String()

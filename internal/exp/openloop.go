@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/report"
 	"hybrimoe/internal/workload"
@@ -21,32 +19,18 @@ import (
 // the p95 queue wait itself. As the rate climbs past capacity the queue
 // wait — invisible to the pre-arrival, queue-blind TTFT — dominates the
 // p95 and drives the guard from admit to shed.
-func OpenLoopStudy(p Params, requests int, ratio float64) *report.Table {
-	return runTable(openLoopStudy{requests: requests, ratio: ratio}, p)
-}
-
-// openLoopStudy is OpenLoopStudy as a runner-iterated grid: the
-// closed-loop capacity calibration runs serially in Cells, then one
-// cell per rate × scheduler × batch-former point. Each cell draws its
-// own request stream (deterministic in the rate), so cells share no
+//
+// The closed-loop capacity calibration runs serially, then one cell per
+// rate × scheduler × batch-former point. Each cell draws its own
+// request stream (deterministic in the rate), so cells share no
 // mutable state.
-type openLoopStudy struct {
-	requests int
-	ratio    float64
-}
-
-func (openLoopStudy) ID() string { return "open-loop" }
-func (openLoopStudy) Describe() string {
-	return "Open-loop Poisson arrivals × scheduler × batch former"
-}
-
-func (s openLoopStudy) Cells(p Params) []Cell {
+func OpenLoopStudy(p Params, requests int, ratio float64) *report.Table {
 	mkReqs := func(rate float64) []workload.Request {
 		stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
 		if rate > 0 {
 			stream.WithArrivals(workload.Poisson(rate))
 		}
-		reqs := stream.NextN(s.requests)
+		reqs := stream.NextN(requests)
 		workload.CapDecode(reqs, p.DecodeSteps)
 		return reqs
 	}
@@ -57,7 +41,7 @@ func (s openLoopStudy) Cells(p Params) []Cell {
 	// forward p95 with a low sample floor — a deliberately strained SLO
 	// that only queueing can breach, so the shed fraction tracks the
 	// arrival rate rather than the workload content.
-	base := Drive(hybriBox(p, s.ratio, 3, "round-robin", "none", nil), mkReqs(0), nil)
+	base := Drive(hybriBox(p, ratio, 3, "round-robin", "none", nil), mkReqs(0), nil)
 	capacity := float64(base.Completed) / base.Makespan
 	forward := report.Latencies(base.Forward)
 	adm := func() engine.AdmissionPolicy {
@@ -69,23 +53,16 @@ func (s openLoopStudy) Cells(p Params) []Cell {
 		rate := mult * capacity
 		for _, schedName := range []string{"round-robin", "sjf"} {
 			for _, batchName := range []string{"none", "greedy"} {
-				cells = append(cells, Cell{
-					Label: fmt.Sprintf("open-loop/%.3g/%s/%s", rate, schedName, batchName),
-					Run: func() []Row {
-						r := Drive(hybriBox(p, s.ratio, 3, schedName, batchName, adm()), mkReqs(rate), nil)
-						return []Row{{rate, schedName, batchName, r.Completed, r.shedFraction(),
-							r.goodput(), report.Latencies(r.TTFT).P95,
-							report.Latencies(r.Forward).P95, report.Latencies(r.Queue).P95}}
-					},
+				cells = append(cells, func() []Row {
+					r := Drive(hybriBox(p, ratio, 3, schedName, batchName, adm()), mkReqs(rate), nil)
+					return []Row{{rate, schedName, batchName, r.Completed, r.shedFraction(),
+						r.goodput(), report.Latencies(r.TTFT).P95,
+						report.Latencies(r.Forward).P95, report.Latencies(r.Queue).P95}}
 				})
 			}
 		}
 	}
-	return cells
-}
-
-func (openLoopStudy) Render(_ Params, results [][]Row) Renderable {
-	return tableFromCells("Open-loop study: Poisson arrival rate × scheduler × batch former (HybriMoE)",
+	return gridTable(p, "Open-loop study: Poisson arrival rate × scheduler × batch former (HybriMoE)",
 		[]string{"rate(req/s)", "reqsched", "batch", "completed", "shed-fraction",
-			"goodput(req/s)", "p95-TTFT(s)", "p95-prefill(s)", "p95-queue(s)"}, results)
+			"goodput(req/s)", "p95-TTFT(s)", "p95-prefill(s)", "p95-queue(s)"}, cells)
 }

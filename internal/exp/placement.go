@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"hybrimoe/internal/cluster"
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/hw"
@@ -33,40 +31,24 @@ var PlacementTopologies = []int{1, 2, 4}
 // experts execute on their owning GPUs in parallel. There is one cell
 // per topology × scheduler × cache-ratio point, all serving one shared
 // stream.
-type placementStudy struct {
-	requests int
-}
-
-func (placementStudy) ID() string { return "placement" }
-func (placementStudy) Describe() string {
-	return "Multi-GPU placement: topology × scheduler × cache ratio"
-}
-
-func (s placementStudy) Cells(p Params) []Cell {
+func placementStudy(p Params, requests int) *report.Table {
 	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
-	reqs := stream.NextN(s.requests)
+	reqs := stream.NextN(requests)
 	workload.CapDecode(reqs, p.DecodeSteps)
 
 	var cells []Cell
 	for _, gpus := range PlacementTopologies {
 		for _, schedName := range []string{"hybrimoe", "expert-parallel"} {
 			for _, ratio := range []float64{0.25, 0.50} {
-				cells = append(cells, Cell{
-					Label: fmt.Sprintf("placement/%dgpu/%s/%.2f", gpus, schedName, ratio),
-					Run: func() []Row {
-						r := Drive(placementBox(p, gpus, schedName, ratio), reqs, nil)
-						tbt := report.Latencies(r.TBT)
-						return []Row{{gpus, schedName, ratio, r.decodeThroughput(),
-							tbt.P50, tbt.P95, r.HitRate[0], r.utilisation()}}
-					},
+				cells = append(cells, func() []Row {
+					r := Drive(placementBox(p, gpus, schedName, ratio), reqs, nil)
+					tbt := report.Latencies(r.TBT)
+					return []Row{{gpus, schedName, ratio, r.decodeThroughput(),
+						tbt.P50, tbt.P95, r.HitRate[0], r.utilisation()}}
 				})
 			}
 		}
 	}
-	return cells
-}
-
-func (placementStudy) Render(_ Params, results [][]Row) Renderable {
-	return tableFromCells("Placement study: GPU topology × scheduler × cache ratio (HybriMoE stack)",
-		[]string{"gpus", "sched", "cache", "decode-tok/s", "p50-TBT(s)", "p95-TBT(s)", "hit-rate", "per-GPU-util"}, results)
+	return gridTable(p, "Placement study: GPU topology × scheduler × cache ratio (HybriMoE stack)",
+		[]string{"gpus", "sched", "cache", "decode-tok/s", "p50-TBT(s)", "p95-TBT(s)", "hit-rate", "per-GPU-util"}, cells)
 }

@@ -45,7 +45,7 @@ func TestPlacementSingleGPUPlannerTopologyInvariant(t *testing.T) {
 }
 
 func TestPlacementStudyRenders(t *testing.T) {
-	tbl := runTable(placementStudy{requests: 3}, QuickParams())
+	tbl := placementStudy(QuickParams(), 3)
 	var b strings.Builder
 	tbl.Render(&b)
 	out := b.String()

@@ -4,6 +4,7 @@ import (
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
 	"hybrimoe/internal/quant"
+	"hybrimoe/internal/report"
 	"hybrimoe/internal/stats"
 	"hybrimoe/internal/tensor"
 )
@@ -15,14 +16,9 @@ import (
 // matrix-vector product. Transferring an expert at INT8 costs ~2× the
 // link time but roughly 16× lower reconstruction error — the knob a
 // mixed-precision loader trades per expert importance. The
-// kernel-fidelity probe runs serially in Cells, then one cell per model
+// kernel-fidelity probe runs serially, then one cell per model
 // computes its footprint/transfer row.
-type precisionStudy struct{}
-
-func (precisionStudy) ID() string       { return "precision" }
-func (precisionStudy) Describe() string { return "INT4 vs INT8 offloading trade-off" }
-
-func (precisionStudy) Cells(p Params) []Cell {
+func precisionStudy(p Params) *report.Table {
 	link := hw.A6000Platform().Links[0]
 
 	// Measured fidelity on a probe expert (scaled, real kernels).
@@ -33,33 +29,29 @@ func (precisionStudy) Cells(p Params) []Cell {
 	for i := range x {
 		x[i] = float32(rng.NormMeanStd(0, 1))
 	}
-	q4 := quant.Quantize(probe, quant.DefaultGroupSize)
-	q8 := quant.Quantize8(probe, quant.DefaultGroupSize)
+	q4 := quant.Quantize(probe, 4, quant.DefaultGroupSize)
+	q8 := quant.Quantize(probe, 8, quant.DefaultGroupSize)
 	f4 := quant.MeasureFidelity(probe, q4.MatVec, x)
 	f8 := quant.MeasureFidelity(probe, q8.MatVec, x)
 
 	var cells []Cell
 	for _, cfg := range moe.AllModels() {
-		cells = append(cells, Cell{Label: "precision/" + cfg.Name, Run: func() []Row {
+		cells = append(cells, func() []Row {
 			int4 := cfg.ExpertBytes()
 			int8 := expertBytes8(cfg)
 			return []Row{{cfg.Name,
 				float64(int4) / (1 << 20), float64(int8) / (1 << 20),
 				1e3 * link.TransferTime(int4), 1e3 * link.TransferTime(int8),
 				f4.RelL2Error, f8.RelL2Error}}
-		}})
+		})
 	}
-	return cells
-}
-
-func (precisionStudy) Render(_ Params, results [][]Row) Renderable {
-	return tableFromCells("Extension: INT4 vs INT8 expert offloading trade-off",
+	return gridTable(p, "Extension: INT4 vs INT8 expert offloading trade-off",
 		[]string{"model", "int4-bytes(MB)", "int8-bytes(MB)", "int4-xfer(ms)", "int8-xfer(ms)",
-			"int4-relL2", "int8-relL2"}, results)
+			"int4-relL2", "int8-relL2"}, cells)
 }
 
 func expertBytes8(cfg *moe.Config) int64 {
-	per := quant.Quantized8SizeBytes(cfg.Intermediate, cfg.Hidden, quant.DefaultGroupSize)
-	down := quant.Quantized8SizeBytes(cfg.Hidden, cfg.Intermediate, quant.DefaultGroupSize)
+	per := quant.QuantizedSizeBytes(cfg.Intermediate, cfg.Hidden, 8, quant.DefaultGroupSize)
+	down := quant.QuantizedSizeBytes(cfg.Hidden, cfg.Intermediate, 8, quant.DefaultGroupSize)
 	return 2*per + down
 }

@@ -19,49 +19,31 @@ import (
 // (HybriMoE best on both; the prefill gap driven by scheduling, the
 // decode gap by caching and balancing).
 func ServingStudy(p Params, requests int, ratio float64) *report.Table {
-	return runTable(servingStudy{requests: requests, ratio: ratio}, p)
-}
-
-// servingStudy is ServingStudy as a runner-iterated grid: one cell per
-// framework, all serving one shared request sequence.
-type servingStudy struct {
-	requests int
-	ratio    float64
-}
-
-func (servingStudy) ID() string       { return "serving" }
-func (servingStudy) Describe() string { return "End-to-end mixed-corpus serving study" }
-
-func (s servingStudy) Cells(p Params) []Cell {
 	platform := hw.A6000Platform()
 
 	// One shared request sequence for every framework (read-only across
 	// cells; Submit copies by value).
 	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
-	reqs := stream.NextN(s.requests)
+	reqs := stream.NextN(requests)
 	workload.CapDecode(reqs, p.DecodeSteps)
 
 	var cells []Cell
 	for _, fw := range engine.AllFrameworks() {
-		cells = append(cells, Cell{Label: "serving/" + fw.Name, Run: func() []Row {
+		cells = append(cells, func() []Row {
 			// Two requests in flight so prefill and decode genuinely
 			// interleave, the way a continuously-batched server mixes
 			// phases.
 			r := Drive(box(platform, fw, 2,
-				engine.WithCacheRatio(s.ratio), engine.WithSeed(p.Seed)), reqs, nil)
+				engine.WithCacheRatio(ratio), engine.WithSeed(p.Seed)), reqs, nil)
 			ttft := report.Latencies(r.Forward)
 			tbt := report.Latencies(r.TBT)
 			return []Row{{fw.Name, ttft.Mean, ttft.P50, ttft.P95, ttft.P99,
 				tbt.P50, tbt.P95, tbt.P99, r.HitRate[0]}}
-		}})
+		})
 	}
-	return cells
-}
-
-func (servingStudy) Render(_ Params, results [][]Row) Renderable {
-	return tableFromCells("Serving study: mixed corpus stream, end-to-end",
+	return gridTable(p, "Serving study: mixed corpus stream, end-to-end",
 		[]string{"framework", "mean-TTFT(s)", "p50-TTFT(s)", "p95-TTFT(s)", "p99-TTFT(s)",
-			"p50-TBT(s)", "p95-TBT(s)", "p99-TBT(s)", "hit-rate"}, results)
+			"p50-TBT(s)", "p95-TBT(s)", "p99-TBT(s)", "hit-rate"}, cells)
 }
 
 // ServingPolicyStudy compares request schedulers and admission policies
@@ -77,27 +59,11 @@ func (servingStudy) Render(_ Params, results [][]Row) Renderable {
 // goodput (deadline-met completions per simulated second), SLO
 // violation rate among completions, shed fraction of offered load,
 // per-class violation and shed rates, and the p95 TTFT/TBT the served
-// requests saw.
+// requests saw. The baseline calibration (deadline stamping, admission
+// targets) runs serially, then one cell per scheduler × admission point.
 func ServingPolicyStudy(p Params, requests int, ratio float64) *report.Table {
-	return runTable(servingPolicyStudy{requests: requests, ratio: ratio}, p)
-}
-
-// servingPolicyStudy is ServingPolicyStudy as a runner-iterated grid:
-// the baseline calibration (deadline stamping, admission targets) runs
-// serially in Cells, then one cell per scheduler × admission point.
-type servingPolicyStudy struct {
-	requests int
-	ratio    float64
-}
-
-func (servingPolicyStudy) ID() string { return "serving-policy" }
-func (servingPolicyStudy) Describe() string {
-	return "Request schedulers × SLO admission comparison"
-}
-
-func (s servingPolicyStudy) Cells(p Params) []Cell {
 	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
-	reqs := stream.NextN(s.requests)
+	reqs := stream.NextN(requests)
 	workload.CapDecode(reqs, p.DecodeSteps)
 	offered := map[string]int{}
 	for i := range reqs {
@@ -120,7 +86,7 @@ func (s servingPolicyStudy) Cells(p Params) []Cell {
 	// speed, decides who meets it. The admission guard targets the
 	// baseline's p50 TTFT as its p95 budget with a low shed factor, a
 	// deliberately strained SLO that forces shed/defer verdicts.
-	base := Drive(hybriBox(p, s.ratio, 3, "round-robin", "none", nil), reqs, nil)
+	base := Drive(hybriBox(p, ratio, 3, "round-robin", "none", nil), reqs, nil)
 	for i := range reqs {
 		slack := 0.9
 		if i%2 == 1 {
@@ -141,14 +107,14 @@ func (s servingPolicyStudy) Cells(p Params) []Cell {
 	var cells []Cell
 	for _, schedName := range []string{"fcfs", "round-robin", "sjf", "edf"} {
 		for _, withAdm := range []bool{false, true} {
-			cells = append(cells, Cell{Label: "serving-policy/" + schedName, Run: func() []Row {
+			cells = append(cells, func() []Row {
 				policy := engine.AdmissionPolicy(nil)
 				admName := "none"
 				if withAdm {
 					policy = adm()
 					admName = policy.Name()
 				}
-				r := Drive(hybriBox(p, s.ratio, 3, schedName, "none", policy), reqs, nil)
+				r := Drive(hybriBox(p, ratio, 3, schedName, "none", policy), reqs, nil)
 				return []Row{{schedName, admName, r.Completed, r.Shed,
 					r.onTimeGoodput(), r.violationRate(), r.shedFraction(),
 					fmt.Sprintf("%.2f/%.2f",
@@ -156,15 +122,11 @@ func (s servingPolicyStudy) Cells(p Params) []Cell {
 					fmt.Sprintf("%.2f/%.2f", r.classShedRate("interactive", offered["interactive"]),
 						r.classShedRate("batch", offered["batch"])),
 					report.Latencies(r.Forward).P95, report.Latencies(r.TBT).P95}}
-			}})
+			})
 		}
 	}
-	return cells
-}
-
-func (servingPolicyStudy) Render(_ Params, results [][]Row) Renderable {
-	return tableFromCells("Serving policy study: request schedulers × admission (HybriMoE)",
+	return gridTable(p, "Serving policy study: request schedulers × admission (HybriMoE)",
 		[]string{"reqsched", "admission", "completed", "shed",
 			"goodput(req/s)", "violation-rate", "shed-fraction",
-			"viol[inter/batch]", "shed[inter/batch]", "p95-TTFT(s)", "p95-TBT(s)"}, results)
+			"viol[inter/batch]", "shed[inter/batch]", "p95-TTFT(s)", "p95-TBT(s)"}, cells)
 }

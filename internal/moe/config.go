@@ -72,8 +72,8 @@ func (c *Config) TotalRoutedExperts() int { return c.Layers * c.RoutedExperts }
 // expert (gate, up and down projections), i.e. the bytes one cache miss
 // moves across PCIe.
 func (c *Config) ExpertBytes() int64 {
-	per := quant.QuantizedSizeBytes(c.Intermediate, c.Hidden, quant.DefaultGroupSize)
-	down := quant.QuantizedSizeBytes(c.Hidden, c.Intermediate, quant.DefaultGroupSize)
+	per := quant.QuantizedSizeBytes(c.Intermediate, c.Hidden, 4, quant.DefaultGroupSize)
+	down := quant.QuantizedSizeBytes(c.Hidden, c.Intermediate, 4, quant.DefaultGroupSize)
 	return 2*per + down
 }
 
@@ -82,8 +82,8 @@ func (c *Config) SharedExpertBytes() int64 {
 	if c.SharedExperts == 0 {
 		return 0
 	}
-	per := quant.QuantizedSizeBytes(c.SharedIntermediate, c.Hidden, quant.DefaultGroupSize)
-	down := quant.QuantizedSizeBytes(c.Hidden, c.SharedIntermediate, quant.DefaultGroupSize)
+	per := quant.QuantizedSizeBytes(c.SharedIntermediate, c.Hidden, 4, quant.DefaultGroupSize)
+	down := quant.QuantizedSizeBytes(c.Hidden, c.SharedIntermediate, 4, quant.DefaultGroupSize)
 	return 2*per + down
 }
 

@@ -59,9 +59,9 @@ func NewTinyModel(cfg *Config, seed uint64) (*TinyModel, error) {
 			wd.FillRandom(rng)
 			gsz := groupSizeFor(cfg.Hidden)
 			row = append(row, expertWeights{
-				gate: quant.Quantize(wg, gsz),
-				up:   quant.Quantize(wu, gsz),
-				down: quant.Quantize(wd, groupSizeFor(cfg.Intermediate)),
+				gate: quant.Quantize(wg, 4, gsz),
+				up:   quant.Quantize(wu, 4, gsz),
+				down: quant.Quantize(wd, 4, groupSizeFor(cfg.Intermediate)),
 			})
 		}
 		m.experts = append(m.experts, row)

@@ -11,7 +11,7 @@ import (
 func TestQuantize8RoundTrip(t *testing.T) {
 	rng := stats.NewRNG(31)
 	src := randomMatrix(rng, 8, 96)
-	q := Quantize8(src, 32)
+	q := Quantize(src, 8, 32)
 	for r := 0; r < src.Rows; r++ {
 		for c := 0; c < src.Cols; c++ {
 			scale := float64(q.Scales[r*q.groupsPerRow()+c/q.GroupSize])
@@ -25,7 +25,7 @@ func TestQuantize8RoundTrip(t *testing.T) {
 
 func TestQuantize8ZeroAndDefaults(t *testing.T) {
 	src := tensor.NewMatrix(2, 256)
-	q := Quantize8(src, 0)
+	q := Quantize(src, 8, 0)
 	if q.GroupSize != DefaultGroupSize {
 		t.Fatalf("default group size not applied: %d", q.GroupSize)
 	}
@@ -43,8 +43,8 @@ func TestInt8MoreAccurateThanInt4(t *testing.T) {
 	for i := range x {
 		x[i] = float32(rng.NormMeanStd(0, 1))
 	}
-	q4 := Quantize(src, 128)
-	q8 := Quantize8(src, 128)
+	q4 := Quantize(src, 4, 128)
+	q8 := Quantize(src, 8, 128)
 	f4 := MeasureFidelity(src, q4.MatVec, x)
 	f8 := MeasureFidelity(src, q8.MatVec, x)
 	t.Logf("int4: corr=%.5f relL2=%.4f; int8: corr=%.5f relL2=%.4f",
@@ -61,8 +61,8 @@ func TestInt8MoreAccurateThanInt4(t *testing.T) {
 }
 
 func TestInt8TwiceTheBytesOfInt4(t *testing.T) {
-	b4 := QuantizedSizeBytes(64, 256, 128)
-	b8 := Quantized8SizeBytes(64, 256, 128)
+	b4 := QuantizedSizeBytes(64, 256, 4, 128)
+	b8 := QuantizedSizeBytes(64, 256, 8, 128)
 	// INT8 weights are exactly 2x the nibble storage; scales match.
 	wantWeights4 := int64(64 * 128)
 	wantWeights8 := int64(64 * 256)
@@ -72,10 +72,16 @@ func TestInt8TwiceTheBytesOfInt4(t *testing.T) {
 	if b8 <= b4 {
 		t.Fatalf("int8 (%d B) should exceed int4 (%d B)", b8, b4)
 	}
+	// SizeBytes reports the same wire size, whatever the in-memory
+	// layout.
+	src := tensor.NewMatrix(64, 256)
+	if got4, got8 := Quantize(src, 4, 128).SizeBytes(), Quantize(src, 8, 128).SizeBytes(); got4 != b4 || got8 != b8 {
+		t.Fatalf("SizeBytes int4 %d int8 %d, want %d and %d", got4, got8, b4, b8)
+	}
 }
 
 func TestInt8MatVecPanics(t *testing.T) {
-	q := Quantize8(tensor.NewMatrix(2, 8), 8)
+	q := Quantize(tensor.NewMatrix(2, 8), 8, 8)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -97,7 +103,7 @@ func TestInt8MatVecPanics(t *testing.T) {
 func TestInt8MatVecMatchesDequantized(t *testing.T) {
 	rng := stats.NewRNG(33)
 	src := randomMatrix(rng, 6, 64)
-	q := Quantize8(src, 16)
+	q := Quantize(src, 8, 16)
 	x := make([]float32, 64)
 	for i := range x {
 		x[i] = float32(rng.NormMeanStd(0, 1))

@@ -18,7 +18,7 @@ func randomMatrix(rng *stats.RNG, rows, cols int) *tensor.Matrix {
 func TestQuantizeRoundTripError(t *testing.T) {
 	rng := stats.NewRNG(21)
 	src := randomMatrix(rng, 16, 256)
-	q := Quantize(src, 64)
+	q := Quantize(src, 4, 64)
 	deq := q.Dequantize()
 	var maxRel float64
 	for r := 0; r < src.Rows; r++ {
@@ -41,7 +41,7 @@ func TestQuantizeRoundTripError(t *testing.T) {
 
 func TestQuantizeZeroMatrix(t *testing.T) {
 	src := tensor.NewMatrix(4, 32)
-	q := Quantize(src, 16)
+	q := Quantize(src, 4, 16)
 	deq := q.Dequantize()
 	for _, v := range deq.Data {
 		if v != 0 {
@@ -51,28 +51,57 @@ func TestQuantizeZeroMatrix(t *testing.T) {
 }
 
 func TestQuantizeExtremesClamp(t *testing.T) {
-	src := tensor.NewMatrix(1, 4)
-	copy(src.Data, []float32{7, -8, 3.5, -3.5})
-	q := Quantize(src, 4)
-	// amax=8, scale=8/7; value 7 quantizes to round(7/(8/7)) = round(6.125) = 6.
-	if got := q.nibble(0, 0); got != 6 {
-		t.Errorf("nibble(0,0) = %d, want 6", got)
-	}
-	if got := q.nibble(0, 1); got != -7 {
-		t.Errorf("nibble(0,1) = %d, want -7", got)
-	}
-	// No nibble may leave [-8, 7].
-	for c := 0; c < 4; c++ {
-		if v := q.nibble(0, c); v < -8 || v > 7 {
-			t.Fatalf("nibble out of range: %d", v)
+	for _, tc := range []struct {
+		bits         int
+		src          []float32
+		want0, want1 int8
+		lo, hi       int8
+	}{
+		// amax=8, scale=8/7; value 7 quantizes to round(7/(8/7)) = round(6.125) = 6.
+		{4, []float32{7, -8, 3.5, -3.5}, 6, -7, -8, 7},
+		// amax=128, scale=128/127; 127 quantizes to round(126.008) = 126.
+		{8, []float32{127, -128, 63.5, -63.5}, 126, -127, -128, 127},
+	} {
+		src := tensor.NewMatrix(1, 4)
+		copy(src.Data, tc.src)
+		q := Quantize(src, tc.bits, 4)
+		if q.Data[0] != tc.want0 || q.Data[1] != tc.want1 {
+			t.Errorf("%d-bit Data[0:2] = %v, want [%d %d]", tc.bits, q.Data[:2], tc.want0, tc.want1)
 		}
+		for _, v := range q.Data {
+			if v < tc.lo || v > tc.hi {
+				t.Fatalf("%d-bit value out of range [%d, %d]: %d", tc.bits, tc.lo, tc.hi, v)
+			}
+		}
+	}
+}
+
+// Only the 4- and 8-bit widths exist; any other panics.
+func TestQuantizeRejectsOtherWidths(t *testing.T) {
+	for _, bits := range []int{0, 2, 3, 5, 16} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d-bit Quantize did not panic", bits)
+				}
+			}()
+			Quantize(tensor.NewMatrix(1, 4), bits, 4)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d-bit QuantizedSizeBytes did not panic", bits)
+				}
+			}()
+			QuantizedSizeBytes(1, 4, bits, 4)
+		}()
 	}
 }
 
 func TestOddColumnCount(t *testing.T) {
 	rng := stats.NewRNG(22)
 	src := randomMatrix(rng, 3, 33) // odd cols exercise the half-byte tail
-	q := Quantize(src, 16)
+	q := Quantize(src, 4, 16)
 	deq := q.Dequantize()
 	if deq.Rows != 3 || deq.Cols != 33 {
 		t.Fatalf("round-trip shape %dx%d", deq.Rows, deq.Cols)
@@ -91,7 +120,7 @@ func TestOddColumnCount(t *testing.T) {
 func TestQuantMatVecMatchesDequantized(t *testing.T) {
 	rng := stats.NewRNG(23)
 	src := randomMatrix(rng, 8, 96)
-	q := Quantize(src, 32)
+	q := Quantize(src, 4, 32)
 	x := make([]float32, 96)
 	for i := range x {
 		x[i] = float32(rng.NormMeanStd(0, 1))
@@ -110,7 +139,7 @@ func TestQuantMatVecMatchesDequantized(t *testing.T) {
 func TestQuantMatVecApproximatesFP32(t *testing.T) {
 	rng := stats.NewRNG(24)
 	src := randomMatrix(rng, 16, 512)
-	q := Quantize(src, 128)
+	q := Quantize(src, 4, 128)
 	x := make([]float32, 512)
 	for i := range x {
 		x[i] = float32(rng.NormMeanStd(0, 1))
@@ -131,7 +160,7 @@ func TestQuantMatVecApproximatesFP32(t *testing.T) {
 }
 
 func TestQuantMatVecPanics(t *testing.T) {
-	q := Quantize(tensor.NewMatrix(2, 8), 8)
+	q := Quantize(tensor.NewMatrix(2, 8), 4, 8)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -151,24 +180,24 @@ func TestQuantMatVecPanics(t *testing.T) {
 }
 
 func TestSizeAccounting(t *testing.T) {
-	q := Quantize(tensor.NewMatrix(4, 128), 128)
+	q := Quantize(tensor.NewMatrix(4, 128), 4, 128)
 	// 4 rows × 64 packed bytes + 4 rows × 1 group × 4 bytes scale.
 	want := int64(4*64 + 4*4)
 	if got := q.SizeBytes(); got != want {
 		t.Fatalf("SizeBytes = %d, want %d", got, want)
 	}
-	if got := QuantizedSizeBytes(4, 128, 128); got != want {
+	if got := QuantizedSizeBytes(4, 128, 4, 128); got != want {
 		t.Fatalf("QuantizedSizeBytes = %d, want %d", got, want)
 	}
 }
 
 func TestQuantizedSizeBytesOddShapes(t *testing.T) {
 	// 5 cols → 3 packed bytes/row; group 4 → 2 groups/row.
-	if got := QuantizedSizeBytes(2, 5, 4); got != int64(2*3+2*2*4) {
+	if got := QuantizedSizeBytes(2, 5, 4, 4); got != int64(2*3+2*2*4) {
 		t.Fatalf("odd-shape size = %d", got)
 	}
 	// groupSize<=0 selects the default.
-	if got, want := QuantizedSizeBytes(1, 128, 0), QuantizedSizeBytes(1, 128, DefaultGroupSize); got != want {
+	if got, want := QuantizedSizeBytes(1, 128, 4, 0), QuantizedSizeBytes(1, 128, 4, DefaultGroupSize); got != want {
 		t.Fatalf("default group size not applied: %d vs %d", got, want)
 	}
 }
@@ -182,7 +211,7 @@ func TestQuantRoundTripBoundQuick(t *testing.T) {
 		cols := 1 + rng.Intn(64)
 		gs := 1 + rng.Intn(32)
 		src := randomMatrix(rng, rows, cols)
-		q := Quantize(src, gs)
+		q := Quantize(src, 4, gs)
 		for r := 0; r < rows; r++ {
 			for c := 0; c < cols; c++ {
 				scale := float64(q.Scales[r*q.groupsPerRow()+c/q.GroupSize])

@@ -37,7 +37,7 @@ func (s *KTransStatic) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	sort.SliceStable(gpuTasks, func(i, j int) bool { return gpuTasks[i].Load > gpuTasks[j].Load })
 	sort.SliceStable(cpuTasks, func(i, j int) bool { return cpuTasks[i].Load < cpuTasks[j].Load })
 
-	gpuBusy := res.GPUFree
+	gpuBusy := res.GPUFreeAt(hw.GPU)
 	for _, t := range gpuTasks {
 		end := gpuBusy + p.GPUs[0].ExpertTime(t.Flops, t.Bytes)
 		plan.Ops = append(plan.Ops, Op{Expert: t.ID, Kind: OpComputeGPU, Load: t.Load, Start: gpuBusy, End: end})
@@ -91,7 +91,7 @@ func (s *GPUCentric) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	// arrives earliest.
 	sort.SliceStable(missed, func(i, j int) bool { return missed[i].Load > missed[j].Load })
 
-	linkBusy := res.LinkFree
+	linkBusy := res.LinkFreeAt(hw.GPU)
 	type ready struct {
 		task Task
 		at   float64
@@ -110,7 +110,7 @@ func (s *GPUCentric) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	}
 	// GPU executes in ready order (stable: cached first, then arrival).
 	sort.SliceStable(pend, func(i, j int) bool { return pend[i].at < pend[j].at })
-	gpuBusy := res.GPUFree
+	gpuBusy := res.GPUFreeAt(hw.GPU)
 	for _, r := range pend {
 		start := maxFloat(gpuBusy, r.at)
 		end := start + p.GPUs[0].ExpertTime(r.task.Flops, r.task.Bytes)
@@ -156,7 +156,7 @@ func (s *StaticSplit) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	copy(ordered, tasks)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Load > ordered[j].Load })
 	if onGPU {
-		gpuBusy := res.GPUFree
+		gpuBusy := res.GPUFreeAt(hw.GPU)
 		for _, t := range ordered {
 			end := gpuBusy + p.GPUs[0].ExpertTime(t.Flops, t.Bytes)
 			plan.Ops = append(plan.Ops, Op{Expert: t.ID, Kind: OpComputeGPU, Load: t.Load, Start: gpuBusy, End: end})

@@ -75,7 +75,7 @@ func buildAssignment(tasks []Task, p *hw.Platform, res Resources, onCPU func(int
 		cpuBusy = end
 	}
 
-	linkBusy := res.LinkFree
+	linkBusy := res.LinkFreeAt(hw.GPU)
 	type ready struct {
 		task Task
 		at   float64
@@ -93,7 +93,7 @@ func buildAssignment(tasks []Task, p *hw.Platform, res Resources, onCPU func(int
 	}
 	// GPU list-schedules: at each step run the ready highest-load task,
 	// or wait for the earliest arrival.
-	gpuBusy := res.GPUFree
+	gpuBusy := res.GPUFreeAt(hw.GPU)
 	for len(queue) > 0 {
 		bestIdx := -1
 		var bestStart float64

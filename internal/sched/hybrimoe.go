@@ -77,7 +77,7 @@ func (s *HybriMoE) planGreedy(tasks []Task, p *hw.Platform, res Resources) *Plan
 	sort.SliceStable(cpuQ, func(i, j int) bool { return cpuQ[i].Load < cpuQ[j].Load })
 	sort.SliceStable(gpuQ, func(i, j int) bool { return gpuQ[i].task.Load > gpuQ[j].task.Load })
 
-	cpuBusy, gpuBusy, linkBusy := res.CPUFree, res.GPUFree, res.LinkFree
+	cpuBusy, gpuBusy, linkBusy := res.CPUFree, res.GPUFreeAt(hw.GPU), res.LinkFreeAt(hw.GPU)
 	cpuFirst := true
 
 	appendOp := func(op Op) {

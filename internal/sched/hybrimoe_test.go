@@ -140,8 +140,8 @@ func TestHybriMoERespectsResourceOffsets(t *testing.T) {
 	tasks := []Task{unitTask(0, 2, true)}
 	// GPU busy until t=10 (attention/shared experts): the CPU should
 	// steal the single cached expert rather than wait.
-	plan := NewHybriMoE().Plan(tasks, p, Resources{GPUFree: 10})
-	if err := plan.Validate(tasks, Resources{GPUFree: 10}); err != nil {
+	plan := NewHybriMoE().Plan(tasks, p, Resources{GPUFree: []float64{10}})
+	if err := plan.Validate(tasks, Resources{GPUFree: []float64{10}}); err != nil {
 		t.Fatal(err)
 	}
 	if plan.Makespan > 2+1e-9 {
@@ -245,8 +245,8 @@ func TestHybriMoEPlanAlwaysValid(t *testing.T) {
 		}
 		res := Resources{
 			CPUFree:  rng.Float64() * 1e-3,
-			GPUFree:  rng.Float64() * 1e-3,
-			LinkFree: rng.Float64() * 1e-3,
+			GPUFree:  []float64{rng.Float64() * 1e-3},
+			LinkFree: []float64{rng.Float64() * 1e-3},
 		}
 		plan := NewHybriMoE().Plan(tasks, p, res)
 		if err := plan.Validate(tasks, res); err != nil {

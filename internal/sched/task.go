@@ -86,70 +86,46 @@ type Plan struct {
 }
 
 // Resources carries the occupancy of the device timelines at the moment
-// the layer starts, as offsets ≥ 0 relative to the layer start. GPUFree
-// is typically positive (attention + shared experts run first); LinkFree
-// is positive when a prefetch from an earlier layer still occupies PCIe.
-// On multi-GPU platforms GPUFrees/LinkFrees carry every device's
-// frontier; the scalar GPUFree/LinkFree remain GPU0's, so single-GPU
-// schedulers (and their callers) are untouched by the N-device model.
+// the layer starts, as offsets ≥ 0 relative to the layer start. A GPU's
+// offset is typically positive (attention + shared experts run first);
+// a link's is positive when a prefetch from an earlier layer still
+// occupies it.
 type Resources struct {
-	CPUFree  float64
-	GPUFree  float64
-	LinkFree float64
-	// GPUFrees and LinkFrees, when non-nil, carry the per-device
-	// frontiers; index 0 takes precedence over the scalars. Nil means a
-	// single device described by the scalars.
-	GPUFrees  []float64
-	LinkFrees []float64
+	CPUFree float64
+	// GPUFree and LinkFree carry each GPU's and each GPU's host link's
+	// frontier, indexed by device (GPU0 first). Devices past the end
+	// are idle.
+	GPUFree, LinkFree []float64
 }
 
-// GPUFreeAt reports device d's occupancy offset: the per-device vector
-// when present, the scalar for GPU0 otherwise, and 0 for devices the
-// caller never mentioned.
-func (r Resources) GPUFreeAt(d hw.Device) float64 {
-	i := d.GPUIndex()
-	if r.GPUFrees != nil {
-		if i < len(r.GPUFrees) {
-			return r.GPUFrees[i]
-		}
-		return 0
-	}
-	if i == 0 {
-		return r.GPUFree
-	}
-	return 0
-}
+// GPUFreeAt reports device d's occupancy offset, 0 for devices past
+// the end of GPUFree.
+func (r Resources) GPUFreeAt(d hw.Device) float64 { return freeAt(r.GPUFree, d) }
 
-// LinkFreeAt reports the occupancy offset of device d's host link, with
-// GPUFreeAt's fallback rules.
-func (r Resources) LinkFreeAt(d hw.Device) float64 {
-	i := d.GPUIndex()
-	if r.LinkFrees != nil {
-		if i < len(r.LinkFrees) {
-			return r.LinkFrees[i]
-		}
-		return 0
-	}
-	if i == 0 {
-		return r.LinkFree
+// LinkFreeAt reports the occupancy offset of device d's host link, 0
+// for devices past the end of LinkFree.
+func (r Resources) LinkFreeAt(d hw.Device) float64 { return freeAt(r.LinkFree, d) }
+
+func freeAt(frees []float64, d hw.Device) float64 {
+	if i := d.GPUIndex(); i < len(frees) {
+		return frees[i]
 	}
 	return 0
 }
 
 func (r Resources) validate() {
-	if r.CPUFree < 0 || r.GPUFree < 0 || r.LinkFree < 0 {
+	if r.CPUFree < 0 || anyNegative(r.GPUFree) || anyNegative(r.LinkFree) {
 		panic(fmt.Sprintf("sched: negative resource offsets %+v", r))
 	}
-	for _, v := range r.GPUFrees {
+}
+
+func anyNegative(xs []float64) bool {
+	for _, v := range xs {
 		if v < 0 {
-			panic(fmt.Sprintf("sched: negative GPU resource offsets %+v", r))
+			return true
 		}
 	}
-	for _, v := range r.LinkFrees {
-		if v < 0 {
-			panic(fmt.Sprintf("sched: negative link resource offsets %+v", r))
-		}
-	}
+	return false
 }
 
 // Scheduler plans one layer.
